@@ -148,8 +148,8 @@ func carrierPhasors(carriers []radio.Carrier, chans []complex128) (freqs []float
 // quantity the paper's "peak power" measurements capture (§6.1.1).
 //
 // The scan runs on the shared phasor-recurrence kernel
-// (internal/phasor); NaivePeakReceivedPower retains the direct
-// per-sample evaluation as the golden reference.
+// (internal/phasor); kernel_test.go keeps the direct per-sample
+// evaluation as the golden reference.
 //ivn:hotpath
 func PeakReceivedPower(carriers []radio.Carrier, chans []complex128, duration float64, samples int) (float64, error) {
 	if p, done, err := scanSpec(carriers, chans, duration, samples); done {
@@ -181,34 +181,6 @@ func PeakReceivedPowerRefined(carriers []radio.Carrier, chans []complex128, dura
 	best := phasor.PeakPowerRefined(freqs, coeffs, duration, coarseSamples, samples)
 	pool.PutComplex128(coeffs)
 	pool.PutFloat64(freqs)
-	return best, nil
-}
-
-// NaivePeakReceivedPower is the direct evaluation of PeakReceivedPower —
-// one Sincos per carrier per sample on the same half-open [0, duration)
-// grid. It is kept as the golden reference the kernel-backed scans are
-// tested against and is not used on any hot path.
-func NaivePeakReceivedPower(carriers []radio.Carrier, chans []complex128, duration float64, samples int) (float64, error) {
-	if p, done, err := scanSpec(carriers, chans, duration, samples); done {
-		return p, err
-	}
-	// Reference frequency: the first carrier; only offsets matter.
-	f0 := carriers[0].Freq
-	best := 0.0
-	for k := 0; k < samples; k++ {
-		t := duration * float64(k) / float64(samples)
-		var re, im float64
-		for i, c := range carriers {
-			ph := 2*math.Pi*(c.Freq-f0)*t + c.Phase
-			s, cs := math.Sincos(ph)
-			v := complex(c.Amplitude*cs, c.Amplitude*s) * chans[i]
-			re += real(v)
-			im += imag(v)
-		}
-		if p := re*re + im*im; p > best {
-			best = p
-		}
-	}
 	return best, nil
 }
 

@@ -40,7 +40,7 @@ func TestKernelPeakMatchesNaive(t *testing.T) {
 		sameFreq := trial%4 == 3
 		cs, chans := randomCarrierSet(r, n, sameFreq)
 		for _, samples := range []int{1, 4, 16, 1000, 4096} {
-			want, err := NaivePeakReceivedPower(cs, chans, 1.0, samples)
+			want, err := naivePeakReceivedPower(cs, chans, 1.0, samples)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +63,7 @@ func TestKernelPeakSingleSampleBitIdentical(t *testing.T) {
 	r := rng.New(22)
 	for trial := 0; trial < 20; trial++ {
 		cs, chans := randomCarrierSet(r, 1+r.Intn(10), trial%2 == 0)
-		want, err := NaivePeakReceivedPower(cs, chans, 1.0, 1)
+		want, err := naivePeakReceivedPower(cs, chans, 1.0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,8 +153,35 @@ func BenchmarkNaivePeakReceivedPower(b *testing.B) {
 	chans := randomChans(10, r)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NaivePeakReceivedPower(cs, chans, 1, 4096); err != nil {
+		if _, err := naivePeakReceivedPower(cs, chans, 1, 4096); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// naivePeakReceivedPower is the direct evaluation of PeakReceivedPower —
+// one Sincos per carrier per sample on the same half-open [0, duration)
+// grid: the golden reference the kernel-backed scans are tested against.
+func naivePeakReceivedPower(carriers []radio.Carrier, chans []complex128, duration float64, samples int) (float64, error) {
+	if p, done, err := scanSpec(carriers, chans, duration, samples); done {
+		return p, err
+	}
+	// Reference frequency: the first carrier; only offsets matter.
+	f0 := carriers[0].Freq
+	best := 0.0
+	for k := 0; k < samples; k++ {
+		t := duration * float64(k) / float64(samples)
+		var re, im float64
+		for i, c := range carriers {
+			ph := 2*math.Pi*(c.Freq-f0)*t + c.Phase
+			s, cs := math.Sincos(ph)
+			v := complex(c.Amplitude*cs, c.Amplitude*s) * chans[i]
+			re += real(v)
+			im += imag(v)
+		}
+		if p := re*re + im*im; p > best {
+			best = p
+		}
+	}
+	return best, nil
 }

@@ -1,13 +1,14 @@
 package engine
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
+
+	"ivn/internal/recordlog"
 )
 
 // Shard selects one work partition of a run's trial indices: trial i
@@ -127,7 +128,7 @@ type journalKey struct {
 // be shared by two runs, nor reused for a second run; record and lookup
 // are safe from concurrent trial workers within one run. Writes go to w
 // (when non-nil) as exactly one Write call per entry, so a SIGKILL can
-// truncate at most the final line — which LoadEntries tolerates.
+// truncate at most the final line — which recordlog.Scan drops on load.
 type Journal struct {
 	mu      sync.Mutex
 	w       io.Writer
@@ -182,60 +183,20 @@ func (j *Journal) Replayed() int64 { return j.replayed.Load() }
 // zero exactly when the run produced a complete (reducible) sample set.
 func (j *Journal) IncompleteCalls() int64 { return j.incomplete.Load() }
 
-// LoadEntries parses JSONL entries from r into memory (for resume and
-// merge). A final line that is truncated mid-write — no trailing
-// newline and unparseable — is dropped silently, which is the crash
-// recovery contract for SIGKILLed appends; a malformed interior line is
-// an error. Returns the number of entries loaded and the byte offset
-// just past the last complete entry (the length a resuming writer should
-// truncate the file to before appending).
-func (j *Journal) LoadEntries(r io.Reader) (n int, consumed int64, err error) {
-	br := bufio.NewReader(r)
-	for {
-		line, rerr := br.ReadBytes('\n')
-		complete := rerr == nil
-		if len(bytes.TrimSpace(line)) > 0 {
-			var e JournalEntry
-			if perr := unmarshalStrict(line, &e); perr != nil {
-				if !complete {
-					// Truncated tail: drop it.
-					return n, consumed, nil
-				}
-				return n, consumed, fmt.Errorf("engine: journal line %d: %w", n+1, perr)
-			}
-			if verr := validEntry(e); verr != nil {
-				if !complete {
-					return n, consumed, nil
-				}
-				return n, consumed, verr
-			}
-			j.mu.Lock()
-			j.entries[journalKey{e.Label, e.Seed, e.Occ, e.Trial}] = e.Sample
-			j.mu.Unlock()
-			n++
-		}
-		if complete {
-			consumed += int64(len(line))
-		}
-		if rerr != nil {
-			if rerr == io.EOF {
-				return n, consumed, nil
-			}
-			return n, consumed, rerr
-		}
-	}
-}
-
-// unmarshalStrict decodes one entry rejecting trailing garbage on the
-// line (a torn write that happens to end at a brace must not half-load).
-func unmarshalStrict(line []byte, e *JournalEntry) error {
-	dec := json.NewDecoder(bytes.NewReader(bytes.TrimSpace(line)))
-	if err := dec.Decode(e); err != nil {
+// Load decodes one JSONL record into memory (for resume and merge).
+// Feed it with recordlog.Scan, which frames the lines and drops a torn
+// final one — the crash recovery contract for SIGKILLed appends.
+func (j *Journal) Load(record []byte) error {
+	var e JournalEntry
+	if err := json.Unmarshal(record, &e); err != nil {
 		return err
 	}
-	if dec.More() {
-		return fmt.Errorf("trailing data after entry")
+	if err := validEntry(e); err != nil {
+		return err
 	}
+	j.mu.Lock()
+	j.entries[journalKey{e.Label, e.Seed, e.Occ, e.Trial}] = e.Sample
+	j.mu.Unlock()
 	return nil
 }
 
@@ -302,20 +263,15 @@ func (c *journalCall) lookup(trial int) (json.RawMessage, bool) {
 // record stores one completed trial's sample and appends its JSONL line
 // in a single Write, so a kill can only ever truncate the final line.
 func (c *journalCall) record(trial int, sample json.RawMessage) error {
-	e := JournalEntry{Label: c.label, Seed: c.seed, Occ: c.occ, Trial: trial, Sample: sample}
-	line, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("engine: journal entry %s trial %d: %w", c.label, trial, err)
-	}
-	line = append(line, '\n')
 	c.j.mu.Lock()
 	defer c.j.mu.Unlock()
 	if c.j.w != nil {
-		if _, werr := c.j.w.Write(line); werr != nil {
-			return fmt.Errorf("engine: journal write %s trial %d: %w", c.label, trial, werr)
+		e := JournalEntry{Label: c.label, Seed: c.seed, Occ: c.occ, Trial: trial, Sample: sample}
+		if err := recordlog.Append(c.j.w, e); err != nil {
+			return fmt.Errorf("engine: journal write %s trial %d: %w", c.label, trial, err)
 		}
 	}
-	c.j.entries[journalKey{c.label, c.seed, c.occ, trial}] = e.Sample
+	c.j.entries[journalKey{c.label, c.seed, c.occ, trial}] = sample
 	c.j.recorded.Add(1)
 	return nil
 }

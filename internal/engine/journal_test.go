@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"ivn/internal/recordlog"
 	"ivn/internal/rng"
 )
 
@@ -83,7 +84,7 @@ func TestTrialsShardWithoutJournalErrors(t *testing.T) {
 
 func TestTrialsJournalRecordThenReplay(t *testing.T) {
 	const n = 16
-	direct, err := Trials(7, "replay", n, tMeasure)
+	direct, err := TrialsCtx(context.Background(), Limits{}, 7, "replay", n, tMeasure)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +103,8 @@ func TestTrialsJournalRecordThenReplay(t *testing.T) {
 	// nothing executes (the measure trap), and the scheduler never sees a
 	// trial (SchedMetrics.Trials stays zero — the resume-test pin).
 	j2 := NewJournal(nil)
-	if loaded, _, err := j2.LoadEntries(bytes.NewReader(buf.Bytes())); err != nil || loaded != n {
-		t.Fatalf("LoadEntries = %d, %v", loaded, err)
+	if _, err := recordlog.Scan(bytes.NewReader(buf.Bytes()), j2.Load); err != nil || j2.Entries() != n {
+		t.Fatalf("loaded %d entries, %v", j2.Entries(), err)
 	}
 	var m SchedMetrics
 	var executed atomic.Int64
@@ -150,7 +151,7 @@ func TestJournalOccDisambiguatesRepeatedLabels(t *testing.T) {
 	}
 
 	j2 := NewJournal(nil)
-	if _, _, err := j2.LoadEntries(bytes.NewReader(buf.Bytes())); err != nil {
+	if _, err := recordlog.Scan(bytes.NewReader(buf.Bytes()), j2.Load); err != nil {
 		t.Fatal(err)
 	}
 	lim2 := Limits{Journal: j2}
@@ -209,7 +210,7 @@ func TestTrialsShardExecutesOwnedOnly(t *testing.T) {
 
 func TestShardFragmentsMergeToDirectRun(t *testing.T) {
 	const n, count = 13, 4
-	direct, err := Trials(21, "merge", n, tMeasure)
+	direct, err := TrialsCtx(context.Background(), Limits{}, 21, "merge", n, tMeasure)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,6 +246,8 @@ func TestShardFragmentsMergeToDirectRun(t *testing.T) {
 	}
 }
 
+// TestLoadEntriesDropsTruncatedTail loads a torn journal the way resume
+// does: recordlog.Scan framing, Journal.Load decoding.
 func TestLoadEntriesDropsTruncatedTail(t *testing.T) {
 	var buf bytes.Buffer
 	j := NewJournal(&buf)
@@ -256,11 +259,11 @@ func TestLoadEntriesDropsTruncatedTail(t *testing.T) {
 	torn := buf.Bytes()[:whole-9]
 
 	j2 := NewJournal(nil)
-	n, consumed, err := j2.LoadEntries(bytes.NewReader(torn))
+	consumed, err := recordlog.Scan(bytes.NewReader(torn), j2.Load)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 3 {
+	if n := j2.Entries(); n != 3 {
 		t.Fatalf("loaded %d entries from a torn 4-entry journal, want 3", n)
 	}
 	// consumed must point just past the last complete line, so a resume
@@ -278,8 +281,9 @@ not json
 {"label":"x","seed":1,"occ":0,"trial":1,"sample":{"V":2}}
 `
 	j := NewJournal(nil)
-	if _, _, err := j.LoadEntries(strings.NewReader(data)); err == nil {
-		t.Fatal("malformed interior line loaded without error")
+	_, err := recordlog.Scan(strings.NewReader(data), j.Load)
+	if err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("got %v, want an error naming line 2", err)
 	}
 }
 
@@ -301,7 +305,7 @@ func TestAbsorbConflictingSamples(t *testing.T) {
 	mk := func(sample string) *Journal {
 		j := NewJournal(nil)
 		data := `{"label":"x","seed":1,"occ":0,"trial":0,"sample":` + sample + "}\n"
-		if _, _, err := j.LoadEntries(strings.NewReader(data)); err != nil {
+		if _, err := recordlog.Scan(strings.NewReader(data), j.Load); err != nil {
 			t.Fatal(err)
 		}
 		return j

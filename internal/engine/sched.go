@@ -7,39 +7,13 @@ import (
 	"sync/atomic"
 )
 
-// parallelOverride is the process-wide default worker cap; 0 means derive
-// from GOMAXPROCS at call time. Per-run Limits take precedence.
-var parallelOverride atomic.Int64
-
-// SetMaxParallel sets the process-wide *default* worker cap. n <= 0
-// restores the automatic GOMAXPROCS-derived default. Changing the cap
-// never changes results — only how many trials run at once.
-//
-// Deprecated: this global survives only as a documented compatibility
-// fallback — the value Limits.maxParallel resolves to when a run carries
-// no cap of its own. Nothing in this repository sets it anymore (the
-// ivnsim CLI's -parallel flag and the ivnsimd daemon both pass per-run
-// Limits); it exists for out-of-tree callers that predate Limits and run
-// one sweep per process. Anything that may share a process with other
-// runs must carry a per-run cap in Limits instead, so concurrent jobs
-// get independent parallelism.
-func SetMaxParallel(n int) {
-	if n < 0 {
-		n = 0
-	}
-	parallelOverride.Store(int64(n))
-}
-
-// MaxParallel resolves the current process-wide default worker cap.
+// MaxParallel is the default worker cap of a run whose Limits carry
+// none: GOMAXPROCS.
 func MaxParallel() int {
-	if n := int(parallelOverride.Load()); n > 0 {
+	if n := runtime.GOMAXPROCS(0); n > 1 {
 		return n
 	}
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		return 1
-	}
-	return n
+	return 1
 }
 
 // SchedMetrics receives scheduler observability counters when attached to
@@ -108,11 +82,10 @@ func (m *SchedMetrics) addTrials(d int64) {
 // Limits is one run's scheduler configuration, carried alongside the job
 // rather than stored in process globals so that concurrent runs in one
 // process (daemon jobs) get independent parallelism caps. The zero value
-// inherits the process defaults (SetMaxParallel / GOMAXPROCS) and attaches
-// no metrics.
+// runs GOMAXPROCS workers and attaches no metrics.
 type Limits struct {
 	// MaxParallel caps this run's concurrent trial workers; 0 falls back
-	// to the process default. Never changes results.
+	// to GOMAXPROCS. Never changes results.
 	MaxParallel int
 	// Metrics, when non-nil, receives per-trial scheduler counters.
 	Metrics *SchedMetrics
@@ -121,8 +94,8 @@ type Limits struct {
 	// this shard owns (stride partition; see Shard). The zero value runs
 	// everything. A sharded run requires a Journal to record its
 	// contributions — Trials errors otherwise, because a fragment without
-	// a journal produces nothing recoverable. ForEach/ForEachScratch sit
-	// BELOW the shard seam and ignore Shard entirely: adaptive helpers
+	// a journal produces nothing recoverable. ForEachCtx/ForEachScratchCtx
+	// sit BELOW the shard seam and ignore Shard entirely: adaptive helpers
 	// (range bisection probes) run all their indices on every shard, so
 	// control flow that depends on their outcomes stays identical across
 	// shards and the merge replay.
@@ -142,21 +115,14 @@ func (l Limits) maxParallel() int {
 	return MaxParallel()
 }
 
-// ForEach runs fn(0..n-1) on the bounded worker pool and returns the
+// ForEachCtx runs fn(0..n-1) on the bounded worker pool and returns the
 // error of the lowest-indexed failure, so the outcome — including which
 // error surfaces — is independent of scheduling. Callers keep determinism
 // by writing results into per-index slots and reducing them in index
-// order afterwards. Equivalent to ForEachCtx with a background context
-// and default limits.
-func ForEach(n int, fn func(i int) error) error {
-	return ForEachCtx(context.Background(), Limits{}, n, fn)
-}
-
-// ForEachCtx is ForEach under a cancellation context and per-run limits.
-// Cancellation is cooperative and prompt: workers check ctx between
-// trials and stop claiming new indices once it is done, and the call then
-// returns ctx's error. Trials already in flight run to completion — no
-// partial trial state is ever published.
+// order afterwards. Cancellation is cooperative and prompt: workers check
+// ctx between trials and stop claiming new indices once it is done, and
+// the call then returns ctx's error. Trials already in flight run to
+// completion — no partial trial state is ever published.
 func ForEachCtx(ctx context.Context, lim Limits, n int, fn func(i int) error) error {
 	workers := lim.maxParallel()
 	return forEachWorkerN(ctx, lim.Metrics, n, workers, func(_, i int) error { return fn(i) })

@@ -10,7 +10,7 @@ import (
 func TestForEachRunsAll(t *testing.T) {
 	var count int64
 	hit := make([]bool, 100)
-	err := ForEach(100, func(i int) error {
+	err := ForEachCtx(context.Background(), Limits{}, 100, func(i int) error {
 		atomic.AddInt64(&count, 1)
 		hit[i] = true
 		return nil
@@ -34,7 +34,7 @@ func TestForEachFirstErrorByIndex(t *testing.T) {
 	errLow := errors.New("low")
 	errHigh := errors.New("high")
 	for round := 0; round < 10; round++ {
-		err := ForEach(50, func(i int) error {
+		err := ForEachCtx(context.Background(), Limits{}, 50, func(i int) error {
 			switch i {
 			case 7:
 				return errLow
@@ -50,10 +50,10 @@ func TestForEachFirstErrorByIndex(t *testing.T) {
 }
 
 func TestForEachEmpty(t *testing.T) {
-	if err := ForEach(0, func(int) error { t.Fatal("called"); return nil }); err != nil {
+	if err := ForEachCtx(context.Background(), Limits{}, 0, func(int) error { t.Fatal("called"); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := ForEach(-3, func(int) error { t.Fatal("called"); return nil }); err != nil {
+	if err := ForEachCtx(context.Background(), Limits{}, -3, func(int) error { t.Fatal("called"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -64,32 +64,9 @@ func TestMaxParallelPositive(t *testing.T) {
 	}
 }
 
-func TestSetMaxParallelFallback(t *testing.T) {
-	// SetMaxParallel survives only as the deprecated compatibility
-	// fallback that zero-cap Limits resolve to; concurrency bounding
-	// itself is pinned per-run in TestLimitsCapWorkers. This test covers
-	// just the fallback resolution contract.
-	defer SetMaxParallel(0)
-	SetMaxParallel(2)
-	if got := MaxParallel(); got != 2 {
-		t.Fatalf("MaxParallel() = %d after SetMaxParallel(2)", got)
-	}
-	// A per-run cap takes precedence over the global fallback.
-	if got := (Limits{MaxParallel: 5}).maxParallel(); got != 5 {
-		t.Fatalf("Limits{5}.maxParallel() = %d with global fallback 2", got)
-	}
-	if got := (Limits{}).maxParallel(); got != 2 {
-		t.Fatalf("Limits{}.maxParallel() = %d, want the global fallback 2", got)
-	}
-	SetMaxParallel(-5) // negative restores the automatic default
-	if MaxParallel() < 1 {
-		t.Fatalf("MaxParallel() = %d after reset", MaxParallel())
-	}
-}
-
 func BenchmarkForEachOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_ = ForEach(16, func(int) error { return nil })
+		_ = ForEachCtx(context.Background(), Limits{}, 16, func(int) error { return nil })
 	}
 }
 

@@ -76,63 +76,27 @@ func (rc *recorder[S]) record(i int) error {
 	return rc.call.record(i, data)
 }
 
-// Trials runs n independent trials of measure on the bounded scheduler
-// and returns the samples in trial order. Each trial's stream is derived
-// with SplitIndexed from a parent seeded with seed, so the sample slice —
-// not just its aggregate — is a pure function of (seed, label, n) at any
-// GOMAXPROCS. Equivalent to TrialsCtx with a background context and
-// default limits.
-func Trials[S any](seed uint64, label string, n int, measure func(trial int, r *rng.Rand) (S, error)) ([]S, error) {
-	return TrialsCtx(context.Background(), Limits{}, seed, label, n, measure)
-}
-
-// TrialsCtx is Trials under a cancellation context and per-run limits:
-// cancellation stops the run between trials (no partial samples are
-// returned — a cancelled run yields ctx's error), and lim caps this
-// run's parallelism independently of any other run in the process.
+// TrialsCtx runs n independent trials of measure on the bounded
+// scheduler and returns the samples in trial order. Each trial's stream
+// is derived with SplitIndexed from a parent seeded with seed, so the
+// sample slice — not just its aggregate — is a pure function of (seed,
+// label, n) at any GOMAXPROCS or worker cap. Cancellation stops the run
+// between trials (no partial samples are returned — a cancelled run
+// yields ctx's error), and lim caps this run's parallelism independently
+// of any other run in the process.
 //
 // When lim carries a Journal, recorded samples replay instead of
 // re-executing (they never enter the scheduler, so SchedMetrics.Trials
 // counts executed trials only), executed samples are recorded, and a
 // Shard restricts execution to owned indices — unowned missing indices
 // stay zero-valued and mark the call incomplete on the Journal.
+//
+// The stream r lives in its worker's reusable slot (see Scratches) and is
+// valid only until measure returns; measure must not retain it.
 func TrialsCtx[S any](ctx context.Context, lim Limits, seed uint64, label string, n int, measure func(trial int, r *rng.Rand) (S, error)) ([]S, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("engine: %d trials", n)
-	}
-	parent := rng.New(seed)
-	samples := make([]S, n)
-	call, toRun, jerr := resolveJournal(lim, seed, label, samples)
-	if jerr != nil {
-		return nil, jerr
-	}
-	if call == nil {
-		err := ForEachCtx(ctx, lim, n, func(i int) error {
-			r := parent.SplitIndexed(label, i)
-			var e error
-			samples[i], e = measure(i, r)
-			return e
-		})
-		if err != nil {
-			return nil, err
-		}
-		return samples, nil
-	}
-	rec := &recorder[S]{call: call, samples: samples}
-	err := ForEachCtx(ctx, lim, len(toRun), func(k int) error {
-		i := toRun[k]
-		r := parent.SplitIndexed(label, i)
-		var e error
-		samples[i], e = measure(i, r)
-		if e != nil {
-			return e
-		}
-		return rec.record(i)
+	return TrialsScratchCtx(ctx, lim, seed, label, n, NewScratches(nil), func(trial int, _ any, r *rng.Rand) (S, error) {
+		return measure(trial, r)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return samples, nil
 }
 
 // Scratches is the engine's per-worker trial state for the batched
@@ -140,7 +104,7 @@ func TrialsCtx[S any](ctx context.Context, lim Limits, seed uint64, label string
 // scheduler worker. Each slot is only ever touched by the single
 // goroutine owning that worker id, so no locking is involved; slots are
 // created lazily on first use and persist across points (and across
-// separate ForEachScratch calls with the same Scratches), which is where
+// separate ForEachScratchCtx calls with the same Scratches), which is where
 // the allocation savings come from. A Scratches must not be shared
 // between concurrently running sweeps.
 type Scratches struct {
@@ -165,21 +129,14 @@ func (s *Scratches) ensure(workers int) {
 	}
 }
 
-// ForEachScratch runs fn(0..n-1) on the bounded worker pool, handing each
-// invocation its worker's persistent scratch object and rng child slot.
-// The rng child arrives in whatever state the worker's previous trial
-// left it — callers reseed it per index (e.g. via SplitIndexedInto) so
-// results stay a pure function of the index, never of worker assignment.
-// Error selection matches ForEach: the lowest-indexed failure wins.
-// Equivalent to ForEachScratchCtx with a background context and default
-// limits.
-func ForEachScratch(n int, s *Scratches, fn func(i int, scratch any, r *rng.Rand) error) error {
-	return ForEachScratchCtx(context.Background(), Limits{}, n, s, fn)
-}
-
-// ForEachScratchCtx is ForEachScratch under a cancellation context and
-// per-run limits, with the same prompt cooperative cancellation contract
-// as ForEachCtx.
+// ForEachScratchCtx runs fn(0..n-1) on the bounded worker pool, handing
+// each invocation its worker's persistent scratch object and rng child
+// slot. The rng child arrives in whatever state the worker's previous
+// trial left it — callers reseed it per index (e.g. via SplitIndexedInto)
+// so results stay a pure function of the index, never of worker
+// assignment. Error selection and cancellation match ForEachCtx: the
+// lowest-indexed failure wins, and workers stop claiming once ctx is
+// done.
 func ForEachScratchCtx(ctx context.Context, lim Limits, n int, s *Scratches, fn func(i int, scratch any, r *rng.Rand) error) error {
 	workers := lim.maxParallel()
 	if workers > n {
@@ -197,49 +154,41 @@ func ForEachScratchCtx(ctx context.Context, lim Limits, n int, s *Scratches, fn 
 	})
 }
 
-// TrialsScratch is Trials over per-worker scratch state: each trial's
-// stream is still derived with SplitIndexed(label, i) from a parent
-// seeded with seed — written into the worker's reusable child, so the
-// derivation allocates nothing — and measure additionally receives the
-// worker's persistent scratch object. Samples are identical to Trials
-// for any measure that ignores the scratch, at any GOMAXPROCS.
-func TrialsScratch[S any](seed uint64, label string, n int, s *Scratches, measure func(trial int, scratch any, r *rng.Rand) (S, error)) ([]S, error) {
-	return TrialsScratchCtx(context.Background(), Limits{}, seed, label, n, s, measure)
-}
-
-// TrialsScratchCtx is TrialsScratch under a cancellation context and
-// per-run limits, with the same journal/shard semantics as TrialsCtx.
+// TrialsScratchCtx is the engine's one trial loop; TrialsCtx is this
+// with no scratch. Each trial's stream is derived with SplitIndexed(label,
+// i) from a parent seeded with seed — written into the worker's reusable
+// child, so the derivation allocates nothing — and measure additionally
+// receives the worker's persistent scratch object. Samples are identical
+// to TrialsCtx for any measure that ignores the scratch, at any
+// GOMAXPROCS, and the journal/shard semantics are TrialsCtx's.
 func TrialsScratchCtx[S any](ctx context.Context, lim Limits, seed uint64, label string, n int, s *Scratches, measure func(trial int, scratch any, r *rng.Rand) (S, error)) ([]S, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("engine: %d trials", n)
 	}
-	parent := rng.New(seed)
 	samples := make([]S, n)
-	call, toRun, jerr := resolveJournal(lim, seed, label, samples)
-	if jerr != nil {
-		return nil, jerr
+	call, toRun, err := resolveJournal(lim, seed, label, samples)
+	if err != nil {
+		return nil, err
 	}
-	if call == nil {
-		err := ForEachScratchCtx(ctx, lim, n, s, func(i int, scratch any, r *rng.Rand) error {
-			// SplitIndexedInto only reads the parent state — concurrent
-			// derivation from the shared parent is race-free.
-			parent.SplitIndexedInto(r, label, i)
-			var e error
-			samples[i], e = measure(i, scratch, r)
-			return e
-		})
-		if err != nil {
-			return nil, err
+	// Unjournaled runs execute every index (toRun nil = identity);
+	// journaled ones execute only toRun and record each sample.
+	count := n
+	var rec *recorder[S]
+	if call != nil {
+		count = len(toRun)
+		rec = &recorder[S]{call: call, samples: samples}
+	}
+	parent := rng.New(seed)
+	err = ForEachScratchCtx(ctx, lim, count, s, func(k int, scratch any, r *rng.Rand) error {
+		i := k
+		if toRun != nil {
+			i = toRun[k]
 		}
-		return samples, nil
-	}
-	rec := &recorder[S]{call: call, samples: samples}
-	err := ForEachScratchCtx(ctx, lim, len(toRun), s, func(k int, scratch any, r *rng.Rand) error {
-		i := toRun[k]
+		// SplitIndexedInto only reads the parent state — concurrent
+		// derivation from the shared parent is race-free.
 		parent.SplitIndexedInto(r, label, i)
 		var e error
-		samples[i], e = measure(i, scratch, r)
-		if e != nil {
+		if samples[i], e = measure(i, scratch, r); e != nil || rec == nil {
 			return e
 		}
 		return rec.record(i)
@@ -291,12 +240,6 @@ type Sweep[P, S any] struct {
 	// object. The sample must be a pure function of (p, ctx, trial, r) —
 	// never of which worker ran it.
 	MeasureScratch func(p P, ctx, scratch any, trial int, r *rng.Rand) (S, error)
-}
-
-// Run executes the sweep over points and returns one row per point.
-// Equivalent to RunCtx with a background context and default limits.
-func (s Sweep[P, S]) Run(points []P) ([][]Cell, error) {
-	return s.RunCtx(context.Background(), Limits{}, points)
 }
 
 // RunCtx executes the sweep under a cancellation context and per-run
@@ -359,11 +302,6 @@ func (s Sweep[P, S]) RunCtx(ctx context.Context, lim Limits, points []P) ([][]Ce
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// RunInto executes the sweep and appends its rows to res.
-func (s Sweep[P, S]) RunInto(res *Result, points []P) error {
-	return s.RunIntoCtx(context.Background(), Limits{}, res, points)
 }
 
 // RunIntoCtx executes the sweep under ctx and lim and appends its rows

@@ -14,18 +14,18 @@ func TestTrialsDeterministic(t *testing.T) {
 	measure := func(_ int, r *rng.Rand) (float64, error) {
 		return r.Float64(), nil
 	}
-	a, err := Trials(7, "demo", 32, measure)
+	a, err := TrialsCtx(context.Background(), Limits{}, 7, "demo", 32, measure)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Trials(7, "demo", 32, measure)
+	b, err := TrialsCtx(context.Background(), Limits{}, 7, "demo", 32, measure)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("identical (seed, label, n) produced different samples")
 	}
-	c, err := Trials(8, "demo", 32, measure)
+	c, err := TrialsCtx(context.Background(), Limits{}, 8, "demo", 32, measure)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestTrialsMatchesSplitIndexedByHand(t *testing.T) {
 	// The engine's streams must be exactly the hand-rolled pattern the
 	// experiments used before the migration: parent := rng.New(seed);
 	// r := parent.SplitIndexed(label, i).
-	got, err := Trials(11, "check", 8, func(_ int, r *rng.Rand) (float64, error) {
+	got, err := TrialsCtx(context.Background(), Limits{}, 11, "check", 8, func(_ int, r *rng.Rand) (float64, error) {
 		return r.Float64(), nil
 	})
 	if err != nil {
@@ -55,7 +55,7 @@ func TestTrialsMatchesSplitIndexedByHand(t *testing.T) {
 
 func TestTrialsRejectsBadCount(t *testing.T) {
 	for _, n := range []int{0, -1} {
-		if _, err := Trials(1, "x", n, func(int, *rng.Rand) (int, error) { return 0, nil }); err == nil {
+		if _, err := TrialsCtx(context.Background(), Limits{}, 1, "x", n, func(int, *rng.Rand) (int, error) { return 0, nil }); err == nil {
 			t.Fatalf("%d trials accepted", n)
 		}
 	}
@@ -63,7 +63,7 @@ func TestTrialsRejectsBadCount(t *testing.T) {
 
 func TestTrialsSurfacesLowestIndexError(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := Trials(1, "x", 16, func(i int, _ *rng.Rand) (int, error) {
+	_, err := TrialsCtx(context.Background(), Limits{}, 1, "x", 16, func(i int, _ *rng.Rand) (int, error) {
 		if i >= 4 {
 			return 0, fmt.Errorf("trial %d: %w", i, boom)
 		}
@@ -92,7 +92,7 @@ func TestSweepRunInto(t *testing.T) {
 			return []Cell{Int(n), Number("%.0f", sum)}, nil
 		},
 	}
-	if err := sweep.RunInto(res, []int{1, 2, 3}); err != nil {
+	if err := sweep.RunIntoCtx(context.Background(), Limits{}, res, []int{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 3 {
@@ -119,7 +119,7 @@ func TestSweepErrorsPropagate(t *testing.T) {
 		},
 		Row: func(n int, samples []int) ([]Cell, error) { return []Cell{Int(n)}, nil },
 	}
-	if _, err := sweep.Run([]int{1, 2}); !errors.Is(err, boom) {
+	if _, err := sweep.RunCtx(context.Background(), Limits{}, []int{1, 2}); !errors.Is(err, boom) {
 		t.Fatalf("got %v, want boom", err)
 	}
 }
@@ -128,7 +128,7 @@ func TestTrialsScratchMatchesTrials(t *testing.T) {
 	measure := func(_ int, r *rng.Rand) (float64, error) {
 		return r.Float64(), nil
 	}
-	want, err := Trials(19, "batched", 64, measure)
+	want, err := TrialsCtx(context.Background(), Limits{}, 19, "batched", 64, measure)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestScratchesPersistAcrossCalls(t *testing.T) {
 	created := 0
 	s := NewScratches(func() any { created++; return new(int) })
 	for call := 0; call < 3; call++ {
-		if _, err := TrialsScratch(1, "x", 32, s, func(int, any, *rng.Rand) (int, error) {
+		if _, err := TrialsScratchCtx(context.Background(), Limits{}, 1, "x", 32, s, func(int, any, *rng.Rand) (int, error) {
 			return 0, nil
 		}); err != nil {
 			t.Fatal(err)
@@ -194,11 +194,11 @@ func TestSweepPreparedSharedContext(t *testing.T) {
 	plain.Measure = func(n, trial int, r *rng.Rand) (float64, error) {
 		return r.Float64() * float64(n), nil
 	}
-	got, err := batched.Run([]int{2, 3, 5})
+	got, err := batched.RunCtx(context.Background(), Limits{}, []int{2, 3, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := plain.Run([]int{2, 3, 5})
+	want, err := plain.RunCtx(context.Background(), Limits{}, []int{2, 3, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestSweepRejectsAmbiguousMeasure(t *testing.T) {
 	row := func(n int, samples []int) ([]Cell, error) { return []Cell{Int(n)}, nil }
 	plan := func(n int) (uint64, string) { return 0, "p" }
 	neither := Sweep[int, int]{Trials: 1, Plan: plan, Row: row}
-	if _, err := neither.Run([]int{1}); err == nil {
+	if _, err := neither.RunCtx(context.Background(), Limits{}, []int{1}); err == nil {
 		t.Fatal("sweep with neither Measure nor MeasureScratch accepted")
 	}
 	both := Sweep[int, int]{
@@ -224,7 +224,7 @@ func TestSweepRejectsAmbiguousMeasure(t *testing.T) {
 		Measure:        func(int, int, *rng.Rand) (int, error) { return 0, nil },
 		MeasureScratch: func(int, any, any, int, *rng.Rand) (int, error) { return 0, nil },
 	}
-	if _, err := both.Run([]int{1}); err == nil {
+	if _, err := both.RunCtx(context.Background(), Limits{}, []int{1}); err == nil {
 		t.Fatal("sweep with both Measure and MeasureScratch accepted")
 	}
 }

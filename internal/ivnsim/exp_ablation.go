@@ -66,7 +66,7 @@ func runAblationCoherent(cfg Config) (*engine.Result, error) {
 	sweep := engine.Sweep[scenario.Scenario, GainSample]{
 		Trials: cfg.trials(80, 20),
 		Plan: func(scenario.Scenario) (uint64, string) {
-			// Every medium reuses the same streams: RunGainTrials' historical
+			// Every medium reuses the same streams: RunGainTrialsCtx's historical
 			// seeding, kept for byte-identical tables.
 			return cfg.Seed, "gain-trial"
 		},

@@ -1,3 +1,10 @@
+// Package ivnsim is IVN's experiment layer: it wires scenarios, the CIB
+// beamformer, the baselines, the tag models and the out-of-band reader
+// into the measurements the paper reports, and expresses each figure or
+// table as a declarative spec over the trial engine (internal/engine).
+// Every experiment is registered under the paper's figure/table id (see
+// Registry), returns a typed engine.Result, and is deterministic for a
+// given seed.
 package ivnsim
 
 import (

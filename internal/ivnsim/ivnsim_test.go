@@ -2,6 +2,7 @@ package ivnsim
 
 import (
 	"bytes"
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,46 +13,6 @@ import (
 	"ivn/internal/scenario"
 	"ivn/internal/tag"
 )
-
-func TestTableRender(t *testing.T) {
-	tab := &Table{ID: "x", Title: "demo", Header: []string{"a", "bb"}}
-	tab.AddRow("1", "2")
-	tab.AddRow("333") // padded
-	tab.AddNote("hello %d", 5)
-	var buf bytes.Buffer
-	if err := tab.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"demo", "a", "bb", "333", "note: hello 5"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("render missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestTableAddRowRejectsWideRows(t *testing.T) {
-	tab := &Table{ID: "x", Title: "demo", Header: []string{"a", "bb"}}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("row wider than the header was silently accepted")
-		}
-	}()
-	tab.AddRow("1", "2", "3") // wider than the header: must panic, not truncate
-}
-
-func TestTableRenderCSV(t *testing.T) {
-	tab := &Table{ID: "x", Title: "demo", Header: []string{"a", "b"}}
-	tab.AddRow(`va,l"ue`, "2")
-	var buf bytes.Buffer
-	if err := tab.RenderCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, `"va,l""ue",2`) {
-		t.Fatalf("CSV escaping wrong:\n%s", out)
-	}
-}
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
@@ -101,11 +62,11 @@ func TestMeasureGainsRelationships(t *testing.T) {
 
 func TestRunGainTrialsDeterministicAndParallelSafe(t *testing.T) {
 	sc := scenario.NewTank(0.5, em.Water, 0.10)
-	a, err := RunGainTrials(sc, 4, 12, 7)
+	a, err := RunGainTrialsCtx(context.Background(), engine.Limits{}, sc, 4, 12, 7, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunGainTrials(sc, 4, 12, 7)
+	b, err := RunGainTrialsCtx(context.Background(), engine.Limits{}, sc, 4, 12, 7, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +75,7 @@ func TestRunGainTrialsDeterministicAndParallelSafe(t *testing.T) {
 			t.Fatalf("trial %d differs across identical runs", i)
 		}
 	}
-	if _, err := RunGainTrials(sc, 4, 0, 7); err == nil {
+	if _, err := RunGainTrialsCtx(context.Background(), engine.Limits{}, sc, 4, 0, 7, nil, ""); err == nil {
 		t.Fatal("0 trials accepted")
 	}
 }
@@ -122,7 +83,7 @@ func TestRunGainTrialsDeterministicAndParallelSafe(t *testing.T) {
 func TestCIBGainGrowsWithAntennas(t *testing.T) {
 	sc := scenario.NewTank(0.5, em.Water, 0.10)
 	med := func(n int) float64 {
-		samples, err := RunGainTrials(sc, n, 30, 3)
+		samples, err := RunGainTrialsCtx(context.Background(), engine.Limits{}, sc, n, 30, 3, nil, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,17 +241,23 @@ func TestInVivoShape(t *testing.T) {
 	}
 }
 
-// mustRun executes an experiment and returns the string-level view of its
-// typed result, which the shape tests assert on.
-func mustRun(t *testing.T, id string, cfg Config) (*Table, error) {
+// textTable is a typed result with its cells formatted, the view the
+// shape tests assert on.
+type textTable struct {
+	*engine.Result
+	Rows [][]string
+}
+
+// mustRun executes an experiment and returns its textTable.
+func mustRun(t *testing.T, id string, cfg Config) (textTable, error) {
 	t.Helper()
 	e, err := ByID(id)
 	if err != nil {
-		return nil, err
+		return textTable{}, err
 	}
 	res, err := e.Run(cfg)
 	if err != nil {
-		return nil, err
+		return textTable{}, err
 	}
-	return TableOf(res), nil
+	return textTable{Result: res, Rows: res.TextRows()}, nil
 }

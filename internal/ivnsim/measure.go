@@ -95,24 +95,13 @@ func measureGainsAt(p *scenario.Placement, n int, tr *session.Trace, r *rng.Rand
 	return out, nil
 }
 
-// RunGainTrials measures trials independent placements on the engine's
-// bounded scheduler and returns the samples in trial order (deterministic
-// regardless of scheduling).
-func RunGainTrials(sc scenario.Scenario, n, trials int, seed uint64) ([]GainSample, error) {
-	return RunGainTrialsTraced(sc, n, trials, seed, nil, "")
-}
-
-// RunGainTrialsTraced is RunGainTrials with per-trial trace spans: trial i
-// records under "<prefix>/NNNN". A nil log (the untraced form) draws the
-// same streams and returns identical samples. Trials run on the batched
-// scratch path: per-worker gain kits absorb the per-trial allocations.
-func RunGainTrialsTraced(sc scenario.Scenario, n, trials int, seed uint64, tlog *session.TraceLog, prefix string) ([]GainSample, error) {
-	return RunGainTrialsCtx(context.Background(), engine.Limits{}, sc, n, trials, seed, tlog, prefix)
-}
-
-// RunGainTrialsCtx is RunGainTrialsTraced under a cancellation context
-// and per-run scheduler limits; samples are identical to the unlimited
-// form whenever the run completes.
+// RunGainTrialsCtx measures trials independent placements on the
+// engine's bounded scheduler under a cancellation context and per-run
+// limits, and returns the samples in trial order (deterministic
+// regardless of scheduling). With a non-nil tlog, trial i records under
+// the span "<prefix>/NNNN"; a nil log draws the same streams and returns
+// identical samples. Trials run on the batched scratch path: per-worker
+// gain kits absorb the per-trial allocations.
 func RunGainTrialsCtx(ctx context.Context, lim engine.Limits, sc scenario.Scenario, n, trials int, seed uint64, tlog *session.TraceLog, prefix string) ([]GainSample, error) {
 	s := engine.NewScratches(newGainKit)
 	return engine.TrialsScratchCtx(ctx, lim, seed, "gain-trial", trials, s, func(i int, scratch any, r *rng.Rand) (GainSample, error) {

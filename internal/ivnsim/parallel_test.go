@@ -12,9 +12,9 @@ import (
 // file keeps the end-to-end determinism check at the experiment level.
 
 // renderedTable flattens a table to one comparable string.
-func renderedTable(tab *Table) string {
+func renderedTable(tab textTable) string {
 	var sb strings.Builder
-	if err := tab.RenderCSV(&sb); err != nil {
+	if err := engine.RenderCSV(tab.Result, &sb); err != nil {
 		return "render error: " + err.Error()
 	}
 	return sb.String()

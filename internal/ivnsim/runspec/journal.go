@@ -1,8 +1,6 @@
 package runspec
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -13,6 +11,7 @@ import (
 	"strings"
 
 	"ivn/internal/engine"
+	"ivn/internal/recordlog"
 )
 
 // Journal files are JSONL: one header line identifying the run the
@@ -73,18 +72,13 @@ func OpenJournal(spec Spec) (j *engine.Journal, f *os.File, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	hline, err := json.Marshal(hdr)
-	if err != nil {
-		return nil, nil, fmt.Errorf("runspec: journal header: %w", err)
-	}
-	hline = append(hline, '\n')
 
 	if !spec.Resume {
 		f, err := os.OpenFile(spec.Journal, os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, nil, fmt.Errorf("runspec: create journal: %w", err)
 		}
-		if _, err := f.Write(hline); err != nil {
+		if err := recordlog.Append(f, hdr); err != nil {
 			_ = f.Close()
 			return nil, nil, fmt.Errorf("runspec: write journal header: %w", err)
 		}
@@ -100,8 +94,7 @@ func OpenJournal(spec Spec) (j *engine.Journal, f *os.File, err error) {
 			_ = f.Close()
 		}
 	}()
-	br := bufio.NewReader(f)
-	got, hlen, err := readHeader(br)
+	got, j, consumed, err := scanJournal(f)
 	if err != nil {
 		return nil, nil, fmt.Errorf("runspec: journal %s: %w", spec.Journal, err)
 	}
@@ -111,38 +104,50 @@ func OpenJournal(spec Spec) (j *engine.Journal, f *os.File, err error) {
 	if got.Shard != hdr.Shard {
 		return nil, nil, fmt.Errorf("runspec: journal %s checkpoints shard %s, spec says %s", spec.Journal, got.Shard, hdr.Shard.String())
 	}
-	j = engine.NewJournal(nil)
-	_, consumed, err := j.LoadEntries(br)
-	if err != nil {
-		return nil, nil, fmt.Errorf("runspec: journal %s: %w", spec.Journal, err)
-	}
 	// Drop any torn final line so appended entries start on a clean
 	// boundary; O_APPEND then keeps writes at the (new) end.
-	if err = f.Truncate(hlen + consumed); err != nil {
+	if err = f.Truncate(consumed); err != nil {
 		return nil, nil, fmt.Errorf("runspec: truncate journal %s: %w", spec.Journal, err)
 	}
 	j.Attach(f)
 	return j, f, nil
 }
 
-// readHeader parses the header line, returning its byte length.
-func readHeader(br *bufio.Reader) (journalHeader, int64, error) {
-	line, err := br.ReadBytes('\n')
-	if err != nil && (err != io.EOF || len(line) == 0) {
-		return journalHeader{}, 0, fmt.Errorf("missing journal header: %w", err)
+// scanJournal reads a journal file: the header record, then every
+// complete trial entry into a memory-only engine.Journal. consumed is
+// the byte offset just past the last complete record.
+func scanJournal(r io.Reader) (hdr journalHeader, j *engine.Journal, consumed int64, err error) {
+	j = engine.NewJournal(nil)
+	seen := false
+	consumed, err = recordlog.Scan(r, func(rec []byte) error {
+		if seen {
+			return j.Load(rec)
+		}
+		seen = true
+		return decodeHeader(rec, &hdr)
+	})
+	if err == nil && !seen {
+		err = fmt.Errorf("missing journal header")
 	}
-	var hdr journalHeader
-	dec := json.NewDecoder(bytes.NewReader(line))
-	if derr := dec.Decode(&hdr); derr != nil {
-		return journalHeader{}, 0, fmt.Errorf("bad journal header: %v", derr)
+	return hdr, j, consumed, err
+}
+
+// decodeHeader parses and checks a header record. The shard is validated
+// here, before anything indexes by it: a header is untrusted bytes.
+func decodeHeader(rec []byte, hdr *journalHeader) error {
+	if err := json.Unmarshal(rec, hdr); err != nil {
+		return fmt.Errorf("bad journal header: %v", err)
 	}
 	if hdr.Kind != journalKind {
-		return journalHeader{}, 0, fmt.Errorf("not an ivn journal (kind %q)", hdr.Kind)
+		return fmt.Errorf("not an ivn journal (kind %q)", hdr.Kind)
 	}
 	if hdr.V != journalVersion {
-		return journalHeader{}, 0, fmt.Errorf("journal version %d, this build reads %d", hdr.V, journalVersion)
+		return fmt.Errorf("journal version %d, this build reads %d", hdr.V, journalVersion)
 	}
-	return hdr, int64(len(line)), nil
+	if err := hdr.Shard.Validate(); err != nil {
+		return fmt.Errorf("bad journal header: %w", err)
+	}
+	return nil
 }
 
 // RunFragment executes a sharded spec: only the shard's stride of each
@@ -187,13 +192,8 @@ func loadFragment(path string) (fragment, error) {
 		return fragment{}, fmt.Errorf("runspec: %w", err)
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	hdr, _, err := readHeader(br)
+	hdr, j, _, err := scanJournal(f)
 	if err != nil {
-		return fragment{}, fmt.Errorf("runspec: %s: %w", path, err)
-	}
-	j := engine.NewJournal(nil)
-	if _, _, err := j.LoadEntries(br); err != nil {
 		return fragment{}, fmt.Errorf("runspec: %s: %w", path, err)
 	}
 	return fragment{path: path, hdr: hdr, j: j}, nil
@@ -262,18 +262,37 @@ func Merge(ctx context.Context, lim engine.Limits, paths []string) (*engine.Resu
 	if key, err := spec.Whole().Key(); err != nil || key != first.hdr.Key {
 		return nil, Spec{}, fmt.Errorf("runspec: %s: header key does not match its spec on this build (journals from another build cannot merge here)", first.path)
 	}
-	union := engine.NewJournal(nil)
-	for _, fr := range frags {
-		if err := union.Absorb(fr.j); err != nil {
-			return nil, Spec{}, fmt.Errorf("runspec: merging %s: %w", fr.path, err)
-		}
+	journals := make([]*engine.Journal, len(frags))
+	for i, fr := range frags {
+		journals[i] = fr.j
 	}
-	lim.Journal = union
-	res, _, err := Run(ctx, lim, spec.Whole(), nil)
+	res, _, err := Recombine(ctx, lim, spec, journals)
 	if err != nil {
 		return nil, Spec{}, err
 	}
 	return res, spec.Whole(), nil
+}
+
+// Recombine rebuilds the whole run from its fragments' journals: it
+// absorbs them into one union journal and re-runs the whole spec with
+// the union attached, so every journaled trial replays its recorded
+// sample bit-exactly — in trial-index order, through the very same
+// reduction code — and any trial no fragment covered runs live. It is
+// the one merge path, behind both Merge and the daemon's sharded jobs.
+// replayed counts the trials served from the union.
+func Recombine(ctx context.Context, lim engine.Limits, spec Spec, frags []*engine.Journal) (res *engine.Result, replayed int64, err error) {
+	union := engine.NewJournal(nil)
+	for i, frag := range frags {
+		if err := union.Absorb(frag); err != nil {
+			return nil, 0, fmt.Errorf("runspec: fragment %d of %d: %w", i+1, len(frags), err)
+		}
+	}
+	lim.Journal = union
+	res, _, err = Run(ctx, lim, spec.Whole(), nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	return res, union.Replayed(), nil
 }
 
 // checkCoverage verifies the fragments jointly cover every shard of one
@@ -292,18 +311,25 @@ func checkCoverage(frags []fragment) error {
 		}
 		return nil
 	}
-	have := make([]bool, count)
+	// The count comes from untrusted headers, so nothing below is sized
+	// by it: the scan stops after naming a handful of missing shards, and
+	// a count beyond the fragments given always leaves some missing.
+	have := make(map[int]bool, len(frags))
 	for _, fr := range frags {
 		have[fr.hdr.Shard.Index] = true
 	}
+	const named = 8
 	var missing []string
-	for i, ok := range have {
-		if !ok {
+	for i := 0; i < count && len(missing) < named; i++ {
+		if !have[i] {
 			missing = append(missing, fmt.Sprintf("%d/%d", i, count))
 		}
 	}
-	if len(missing) > 0 {
-		return fmt.Errorf("runspec: merge is missing shard(s) %s", strings.Join(missing, ", "))
+	if len(missing) == 0 {
+		return nil
 	}
-	return nil
+	if rest := count - len(have) - len(missing); rest > 0 {
+		missing = append(missing, fmt.Sprintf("and %d more", rest))
+	}
+	return fmt.Errorf("runspec: merge is missing shard(s) %s", strings.Join(missing, ", "))
 }

@@ -10,7 +10,7 @@ import (
 // figure, on quick-mode runs. These are the regression net that keeps the
 // reproduction honest as models evolve.
 
-func cellFloat(t *testing.T, tab *Table, row, col int) float64 {
+func cellFloat(t *testing.T, tab textTable, row, col int) float64 {
 	t.Helper()
 	v, err := strconv.ParseFloat(strings.TrimSpace(tab.Rows[row][col]), 64)
 	if err != nil {

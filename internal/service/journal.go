@@ -1,24 +1,23 @@
 package service
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"sync"
 
 	"ivn/internal/ivnsim/runspec"
+	"ivn/internal/recordlog"
 )
 
 // The job journal is the daemon's restart story: every accepted
 // submission appends a "submit" record (the spec plus its shard fan-out),
 // every terminal job appends an "end" record, and a restarted manager
-// resubmits each submit that never reached its end. Records are JSONL
-// with one Write per record, so a SIGKILL tears at most the final line —
-// which the loader drops, exactly like the engine's trial journal.
+// resubmits each submit that never reached its end. Records are framed by
+// internal/recordlog, like the engine's trial journal: one Write per
+// record, so a SIGKILL tears at most the final line, which the loader
+// drops.
 
 // jobRecord is one journal line.
 type jobRecord struct {
@@ -60,7 +59,7 @@ func openJobJournal(path string) (*jobJournal, []pendingJob, error) {
 
 // loadPending replays a journal file into the submit-without-end set,
 // in submission order. A missing file means a fresh daemon; a torn
-// final line (no newline, unparseable) is dropped.
+// final line is dropped by the record log.
 func loadPending(path string) ([]pendingJob, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -77,45 +76,33 @@ func loadPending(path string) ([]pendingJob, error) {
 	}
 	open := map[string]entry{}
 	order := 0
-	br := bufio.NewReader(f)
-	line := 0
-	for {
-		raw, rerr := br.ReadBytes('\n')
-		complete := rerr == nil
-		if len(bytes.TrimSpace(raw)) > 0 {
-			line++
-			var rec jobRecord
-			if perr := json.Unmarshal(bytes.TrimSpace(raw), &rec); perr != nil {
-				if !complete {
-					break // torn tail from a kill mid-append
-				}
-				return nil, fmt.Errorf("service: job journal %s line %d: %v", path, line, perr)
-			}
-			switch rec.Op {
-			case "submit":
-				spec, serr := runspec.ParseJSON(rec.Spec)
-				if serr != nil {
-					if !complete {
-						break
-					}
-					return nil, fmt.Errorf("service: job journal %s line %d: %v", path, line, serr)
-				}
-				open[rec.ID] = entry{order: order, job: pendingJob{shards: rec.Shards, spec: spec}}
-				order++
-			case "end":
-				delete(open, rec.ID)
-			default:
-				if complete {
-					return nil, fmt.Errorf("service: job journal %s line %d: unknown op %q", path, line, rec.Op)
-				}
-			}
+	_, err = recordlog.Scan(f, func(raw []byte) error {
+		var rec jobRecord
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			return err
 		}
-		if rerr != nil {
-			if rerr == io.EOF {
-				break
+		switch rec.Op {
+		case "submit":
+			spec, err := runspec.ParseJSON(rec.Spec)
+			if err != nil {
+				return err
 			}
-			return nil, fmt.Errorf("service: job journal %s: %w", path, rerr)
+			if rec.Shards != 0 {
+				if err := checkShards(spec, rec.Shards); err != nil {
+					return err
+				}
+			}
+			open[rec.ID] = entry{order: order, job: pendingJob{shards: rec.Shards, spec: spec}}
+			order++
+		case "end":
+			delete(open, rec.ID)
+		default:
+			return fmt.Errorf("unknown op %q", rec.Op)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("service: job journal %s: %w", path, err)
 	}
 
 	ents := make([]entry, 0, len(open))
@@ -134,17 +121,9 @@ func loadPending(path string) ([]pendingJob, error) {
 
 // append writes one record as a single Write call.
 func (jj *jobJournal) append(rec jobRecord) error {
-	if jj == nil {
-		return nil
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("service: job journal record: %w", err)
-	}
-	line = append(line, '\n')
 	jj.mu.Lock()
 	defer jj.mu.Unlock()
-	if _, err := jj.f.Write(line); err != nil {
+	if err := recordlog.Append(jj.f, rec); err != nil {
 		return fmt.Errorf("service: job journal write: %w", err)
 	}
 	return nil

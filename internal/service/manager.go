@@ -295,15 +295,25 @@ func (m *Manager) Submit(spec runspec.Spec) (*Job, error) {
 // cache entry and result bytes are identical to an unsharded submission
 // of the same spec, so sharded and plain clients share cache hits.
 func (m *Manager) SubmitSharded(spec runspec.Spec, shards int) (*Job, error) {
+	if err := checkShards(spec, shards); err != nil {
+		return nil, err
+	}
+	return m.submit(spec, shards)
+}
+
+// checkShards is the sharded-submission check. Journaled submit records
+// with a fan-out pass it too (loadPending), so a job journal cannot
+// resume what a client could not submit.
+func checkShards(spec runspec.Spec, shards int) error {
 	if shards < 2 || shards > maxShards {
-		return nil, fmt.Errorf("service: shard count %d out of range [2, %d]", shards, maxShards)
+		return fmt.Errorf("service: shard count %d out of range [2, %d]", shards, maxShards)
 	}
 	if spec.Trace {
 		// Fragment trials replay during the merge pass and emit no
 		// events; a sharded trace would be silently incomplete.
-		return nil, fmt.Errorf("service: trace cannot be combined with sharded execution")
+		return fmt.Errorf("service: trace cannot be combined with sharded execution")
 	}
-	return m.submit(spec, shards)
+	return nil
 }
 
 // submit is the common enqueue path; shards > 1 selects fragment
@@ -485,10 +495,13 @@ func (m *Manager) runJob(job *Job) {
 	job.state = StateRunning
 	job.mu.Unlock()
 
+	// Deferred first, so it runs last: Done fires only once the terminal
+	// state, the end record and the in-flight count are all settled.
+	defer close(job.done)
 	m.metrics.JobsInFlight.Add(1)
 	defer m.metrics.JobsInFlight.Add(-1)
 	// The end record is terminal-state bookkeeping, not an outcome: it
-	// runs last (after the state is filed below) and best-effort — a lost
+	// runs after the state is filed below, and best-effort — a lost
 	// record costs one redundant re-run after a restart, never lost work.
 	// A job that ends cancelled WITHOUT a client Cancel was aborted by
 	// shutdown: that is unfinished work the next process owes, so its
@@ -518,7 +531,6 @@ func (m *Manager) runJob(job *Job) {
 
 	job.mu.Lock()
 	defer job.mu.Unlock()
-	defer close(job.done)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			job.state = StateCancelled
@@ -558,10 +570,9 @@ func (m *Manager) runJob(job *Job) {
 }
 
 // runSharded executes one job as job.shards in-memory shard fragments
-// fanned out through the engine's own scheduler, then recombines them by
-// re-running the whole spec with the union journal attached — the same
-// replay mechanism as the CLI's -merge, so the result bytes are
-// byte-identical to an unsharded run of the same spec.
+// fanned out through the engine's own scheduler, then recombines them
+// with runspec.Recombine — the CLI's -merge path — so the result bytes
+// are byte-identical to an unsharded run of the same spec.
 //
 // The fan-out happens inside this job's worker slot (engine.ForEachCtx,
 // not the manager queue), so sharded jobs can never deadlock the worker
@@ -599,12 +610,8 @@ func (m *Manager) runSharded(job *Job) (*engine.Result, error) {
 		return nil, err
 	}
 
-	union := engine.NewJournal(nil)
 	var recorded int64
-	for i, frag := range frags {
-		if aerr := union.Absorb(frag); aerr != nil {
-			return nil, fmt.Errorf("service: shard %d/%d: %w", i, shards, aerr)
-		}
+	for _, frag := range frags {
 		recorded += frag.Recorded()
 	}
 	caps := make([]int64, shards)
@@ -620,12 +627,11 @@ func (m *Manager) runSharded(job *Job) (*engine.Result, error) {
 	lim := engine.Limits{
 		MaxParallel: total,
 		Metrics:     &m.metrics.Sched,
-		Journal:     union,
 	}
-	res, _, err := runspec.Run(job.ctx, lim, job.spec, nil)
+	res, replayed, err := runspec.Recombine(job.ctx, lim, job.spec, frags)
 	if err != nil {
 		return nil, err
 	}
-	m.metrics.JournalReplayed.Add(union.Replayed())
+	m.metrics.JournalReplayed.Add(replayed)
 	return res, nil
 }

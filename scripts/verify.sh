@@ -13,6 +13,11 @@
 # 4. go test ./...           — unit + golden + determinism + lint fixtures
 # 5. go test -race <pkgs>    — the packages with parallel trial loops and
 #                              shared scratch pools, under the race detector
+# 5b. record-log fuzz       — FuzzRecordLog for a short fixed time: the
+#                              JSONL scanner, the shard-fragment loader
+#                              and the merge coverage check on arbitrary
+#                              bytes (the committed corpus already
+#                              replays in stage 4)
 # 6. faultmatrix smoke       — the fault-injection experiment end to end:
 #                              injector, recovery stack, paired ablation
 # 6b. population smoke       — the N=1000 event-channel inventory end to
@@ -90,6 +95,10 @@ stage "go test -race (parallel trial paths)" \
   go test -race . ./internal/engine/ ./internal/ivnsim/ ./internal/pool/ ./internal/phasor/ \
   ./internal/dsp/ ./internal/fault/ ./internal/gen2/ ./internal/session/ ./internal/link/ \
   ./internal/service/
+
+# Two fuzz workers keep the stage light on shared CI runners.
+stage "record-log fuzz" \
+  go test -run '^$' -fuzz '^FuzzRecordLog$' -fuzztime 10s -parallel 2 ./internal/ivnsim/runspec/
 
 stage "faultmatrix smoke" \
   go run ./cmd/ivnsim -run faultmatrix -quick -seed 2
