@@ -49,8 +49,9 @@ func main() {
 }
 
 // run holds the real main body so deferred profile writers execute before
-// the process exits (os.Exit in main would skip them).
-func run() int {
+// the process exits (os.Exit in main would skip them). A failed heap
+// profile write turns a successful exit into 1.
+func run() (code int) {
 	var (
 		list        = flag.Bool("list", false, "list available experiments")
 		runID       = flag.String("run", "", "experiment id to run, or \"all\"")
@@ -127,19 +128,37 @@ func run() int {
 		}
 		defer pprof.StopCPUProfile()
 	}
+	// The heap profile and the trace are written after the run, but their
+	// files are created now so a bad path fails before any work is done.
 	if *memProfile != "" {
+		f, err := os.Create(*memProfile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "ivnsim: memprofile: %v\n", err)
+			return 1
+		}
 		defer func() {
-			f, err := os.Create(*memProfile)
+			runtime.GC() // settle the heap so the profile shows live objects
+			err := pprof.WriteHeapProfile(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "ivnsim: memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows live objects
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "ivnsim: memprofile: %v\n", err)
+				if code == 0 {
+					code = 1
+				}
 			}
 		}()
+	}
+	var traceOut *os.File
+	if *traceFile != "" {
+		f, err := os.Create(*traceFile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "ivnsim: trace: %v\n", err)
+			return 1
+		}
+		defer f.Close() // a no-op after writeTrace's checked Close
+		traceOut = f
 	}
 
 	render := engine.RenderText
@@ -220,8 +239,8 @@ func run() int {
 		return 2
 	}
 
-	if *traceFile != "" {
-		if err := writeTrace(tlog, *traceFile); err != nil {
+	if traceOut != nil {
+		if err := writeTrace(tlog, traceOut); err != nil {
 			fmt.Fprintf(os.Stderr, "ivnsim: trace: %v\n", err)
 			return 1
 		}
@@ -231,7 +250,7 @@ func run() int {
 
 // runFragment executes one shard of a run, leaving its journal as the
 // product. The stderr summary is the fragment's machine-checkable
-// receipt: scripts/shardsmoke parses the recorded/replayed counts.
+// receipt: the e2e tests parse the recorded/replayed counts.
 func runFragment(spec runspec.Spec, lim engine.Limits) error {
 	//ivn:allow determinism wall-clock only feeds the stderr elapsed-time diagnostic, never a table
 	start := time.Now()
@@ -276,14 +295,10 @@ func runMerge(dir string, lim engine.Limits, jsonOut bool, render engine.Rendere
 	return nil
 }
 
-// writeTrace serializes the collected event log as JSON lines.
-func writeTrace(tlog *session.TraceLog, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
+// writeTrace serializes the collected event log as JSON lines into f
+// and closes it.
+func writeTrace(tlog *session.TraceLog, f *os.File) error {
 	if err := tlog.WriteJSONL(f); err != nil {
-		_ = f.Close()
 		return err
 	}
 	return f.Close()

@@ -18,7 +18,7 @@ import (
 // Every field is optional; zero values select the defaults below.
 type daemonConfig struct {
 	// Addr is the listen address. ":0" picks an ephemeral port (the
-	// daemon prints the bound address, which is how the smoke test finds
+	// daemon prints the bound address, which is how the e2e tests find
 	// it).
 	Addr string `json:"addr,omitempty"`
 	service.Config

@@ -70,7 +70,8 @@ func run() int {
 	srv := &http.Server{Handler: service.NewHandler(mgr)}
 
 	// The bound address on stdout is the machine-readable "ready" line
-	// scripts wait for (":0" configs only learn the port here).
+	// callers such as the e2e tests wait for (":0" configs only learn the
+	// port here).
 	fmt.Printf("ivnsimd: listening on %s\n", ln.Addr())
 	log.Printf("ivnsimd: config %+v", cfg)
 

@@ -79,7 +79,7 @@ func runRangeSweep(cfg Config, id string, model tag.Model, water bool) (*engine.
 		antennaCounts = []int{1, 2, 4, 8}
 	}
 	// The inner trial loop already runs on the engine scheduler
-	// (MaxOperatingDistance bisects sequentially, parallelizing each
+	// (MaxOperatingDistanceCtx bisects sequentially, parallelizing each
 	// probe's trials), so the sweep over antenna counts stays a plain loop.
 	var first, last float64
 	for _, n := range antennaCounts {

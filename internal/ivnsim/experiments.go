@@ -101,7 +101,7 @@ func Registry() []Experiment {
 func ByID(id string) (Experiment, error) {
 	e, ok := registry[id]
 	if !ok {
-		return Experiment{}, fmt.Errorf("ivnsim: unknown experiment %q (use one of %v)", id, ids())
+		return Experiment{}, fmt.Errorf("unknown experiment %q (use one of %v)", id, ids())
 	}
 	return e, nil
 }

@@ -144,11 +144,11 @@ func TestRunCommTrialWaveformAgreesNearOperatingPoint(t *testing.T) {
 func TestMaxOperatingDistanceProperties(t *testing.T) {
 	mk := func(d float64) scenario.Scenario { return scenario.NewAir(d) }
 	model := tag.StandardTag()
-	d1, err := MaxOperatingDistance(mk, 1, model, 0.3, 100, 3, 2, 9)
+	d1, err := MaxOperatingDistanceCtx(context.Background(), engine.Limits{}, mk, 1, model, 0.3, 100, 3, 2, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d8, err := MaxOperatingDistance(mk, 8, model, 0.3, 100, 3, 2, 9)
+	d8, err := MaxOperatingDistanceCtx(context.Background(), engine.Limits{}, mk, 8, model, 0.3, 100, 3, 2, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +159,10 @@ func TestMaxOperatingDistanceProperties(t *testing.T) {
 		t.Fatalf("8-antenna range %v not well beyond single-antenna %v", d8, d1)
 	}
 	// Validation.
-	if _, err := MaxOperatingDistance(mk, 1, model, 0, 10, 3, 2, 1); err == nil {
+	if _, err := MaxOperatingDistanceCtx(context.Background(), engine.Limits{}, mk, 1, model, 0, 10, 3, 2, 1); err == nil {
 		t.Fatal("bad interval accepted")
 	}
-	if _, err := MaxOperatingDistance(mk, 1, model, 1, 10, 2, 3, 1); err == nil {
+	if _, err := MaxOperatingDistanceCtx(context.Background(), engine.Limits{}, mk, 1, model, 1, 10, 2, 3, 1); err == nil {
 		t.Fatal("successNeeded > trials accepted")
 	}
 }

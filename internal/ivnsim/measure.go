@@ -225,18 +225,12 @@ func commExchangeAt(lk *link.Link, tagRand *rng.Rand, model tag.Model, opts Comm
 	return res, nil
 }
 
-// MaxOperatingDistance finds the largest distance at which communication
-// succeeds, via bisection over mk(distance) scenarios. Success at a
-// distance means at least successNeeded of trialsPerPoint trials complete
-// the power-up + decode exchange. Returns 0 when even the minimum
-// distance fails.
-func MaxOperatingDistance(mk func(d float64) scenario.Scenario, n int, model tag.Model, lo, hi float64, trialsPerPoint, successNeeded int, seed uint64) (float64, error) {
-	return MaxOperatingDistanceCtx(context.Background(), engine.Limits{}, mk, n, model, lo, hi, trialsPerPoint, successNeeded, seed)
-}
-
-// MaxOperatingDistanceCtx is MaxOperatingDistance under a cancellation
-// context and per-run scheduler limits: each probe's trial loop checks
-// ctx between trials, so a cancelled bisection returns promptly.
+// MaxOperatingDistanceCtx finds the largest distance at which
+// communication succeeds, via bisection over mk(distance) scenarios.
+// Success at a distance means at least successNeeded of trialsPerPoint
+// trials complete the power-up + decode exchange. Returns 0 when even
+// the minimum distance fails. Each probe's trial loop runs under lim and
+// checks ctx between trials, so a cancelled bisection returns promptly.
 func MaxOperatingDistanceCtx(ctx context.Context, lim engine.Limits, mk func(d float64) scenario.Scenario, n int, model tag.Model, lo, hi float64, trialsPerPoint, successNeeded int, seed uint64) (float64, error) {
 	if lo <= 0 || hi <= lo {
 		return 0, fmt.Errorf("ivnsim: bad search interval [%v, %v]", lo, hi)

@@ -71,8 +71,8 @@ func (s Spec) Validate() error {
 	if s.Experiment == "" {
 		return fmt.Errorf("runspec: missing experiment id")
 	}
-	// ByID's error already names the package and lists valid ids; an
-	// extra "runspec:" layer would just stutter in CLI/daemon output.
+	// ByID's error already lists the valid ids; the CLI and the daemon
+	// print it as is, behind their own prefix.
 	if _, err := ivnsim.ByID(s.Experiment); err != nil {
 		return err
 	}

@@ -271,41 +271,40 @@ type medium struct {
 	rand    *rng.Rand
 	fault   ChannelFault
 	clock   *int
-	lit     []bool // last observed power state per tag (fault != nil only)
+	lit     []bool           // last observed power state per tag (fault != nil only)
+	on      []*gen2.TagLogic // the tags powered for the current command
+	onIndex []int            // their population indices
 	stats   *RoundStats
 	trace   *Trace
 }
 
 // broadcast sends a command to every powered tag and classifies replies.
+// Without a fault every tag is powered and no command is truncated; the
+// command clock still advances, though only a fault ever reads it. A
+// fault's power check runs as a pass of its own (poweredTags), so the
+// loop that hands out the command carries no per-tag branch.
 func (m *medium) broadcast(c gen2.Command) (SlotOutcome, gen2.Reply, int) {
-	if m.fault == nil {
-		return m.broadcastClean(c)
-	}
 	cmd := *m.clock
 	*m.clock++
-	if m.fault.CommandTruncated(cmd) {
-		m.stats.Truncated++
-		if m.trace != nil {
-			m.trace.Emit(Event{Kind: EvFaultFired, Outcome: "truncated", Cmd: c.Type().String()})
+	tags, index := m.tags, []int(nil)
+	if m.fault != nil {
+		if m.fault.CommandTruncated(cmd) {
+			m.stats.Truncated++
+			if m.trace != nil {
+				m.trace.Emit(Event{Kind: EvFaultFired, Outcome: "truncated", Cmd: c.Type().String()})
+			}
+			return SlotEmpty, gen2.Reply{Kind: gen2.ReplyNone}, -1
 		}
-		return SlotEmpty, gen2.Reply{Kind: gen2.ReplyNone}, -1
+		tags, index = m.poweredTags(cmd)
 	}
 	var got []gen2.Reply
 	var responders []int
-	for i, t := range m.tags {
-		if !m.fault.TagPowered(cmd, i) {
-			if m.lit[i] {
-				t.PowerReset()
-				m.stats.Brownouts++
-				if m.trace != nil {
-					m.trace.Emit(Event{Kind: EvFaultFired, Outcome: "brownout", EPC: fmt.Sprintf("%x", t.EPC())})
-				}
-			}
-			m.lit[i] = false
-			continue
-		}
-		m.lit[i] = true
+	for k, t := range tags {
 		if r := t.HandleCommand(c); r.Kind != gen2.ReplyNone {
+			i := k
+			if index != nil {
+				i = index[k]
+			}
 			got = append(got, r)
 			responders = append(responders, i)
 		}
@@ -313,22 +312,32 @@ func (m *medium) broadcast(c gen2.Command) (SlotOutcome, gen2.Reply, int) {
 	return m.classify(cmd, got, responders)
 }
 
-// broadcastClean is the historical fault-free path, kept separate so the
-// clean channel pays a single nil check and no per-tag bookkeeping.
-func (m *medium) broadcastClean(c gen2.Command) (SlotOutcome, gen2.Reply, int) {
-	var got []gen2.Reply
-	var responders []int
+// poweredTags returns the tags the fault keeps powered for command cmd,
+// with their population indices, and power-resets every tag that browns
+// out after being lit.
+func (m *medium) poweredTags(cmd int) ([]*gen2.TagLogic, []int) {
+	m.on, m.onIndex = m.on[:0], m.onIndex[:0]
 	for i, t := range m.tags {
-		if r := t.HandleCommand(c); r.Kind != gen2.ReplyNone {
-			got = append(got, r)
-			responders = append(responders, i)
+		if m.fault.TagPowered(cmd, i) {
+			m.lit[i] = true
+			m.on = append(m.on, t)
+			m.onIndex = append(m.onIndex, i)
+			continue
 		}
+		if m.lit[i] {
+			t.PowerReset()
+			m.stats.Brownouts++
+			if m.trace != nil {
+				m.trace.Emit(Event{Kind: EvFaultFired, Outcome: "brownout", EPC: fmt.Sprintf("%x", t.EPC())})
+			}
+		}
+		m.lit[i] = false
 	}
-	return m.classify(0, got, responders)
+	return m.on, m.onIndex
 }
 
 // classify resolves the collected replies of one broadcast into a slot
-// outcome. cmd keys fault corruption and is unused on the clean path.
+// outcome. cmd keys fault corruption.
 func (m *medium) classify(cmd int, got []gen2.Reply, responders []int) (SlotOutcome, gen2.Reply, int) {
 	switch len(got) {
 	case 0:
@@ -462,6 +471,35 @@ func (ic *InventoryController) channelDecode(tagIndex int, reply gen2.Reply, exc
 	return dec, nil
 }
 
+// sweep counts the replies one Query's sweep drew: singulated slots
+// (captures included) and collisions.
+type sweep struct{ singles, collisions int }
+
+// resolveSlot tallies one slot's outcome into the round and sweep counts,
+// traces it, and singulates a single or captured reply.
+func (ic *InventoryController) resolveSlot(stats *RoundStats, sw *sweep, issue func(gen2.Command) (SlotOutcome, gen2.Reply, int), outcome SlotOutcome, reply gen2.Reply, resp int, r *rng.Rand) error {
+	stats.Slots++
+	if ic.Trace != nil {
+		ic.traceSlot(outcome)
+	}
+	switch outcome {
+	case SlotSingle, SlotCapture:
+		if outcome == SlotCapture {
+			stats.Captures++
+		} else {
+			stats.Singles++
+		}
+		sw.singles++
+		return ic.singulate(stats, issue, reply, resp, outcome == SlotCapture, r)
+	case SlotCollision:
+		stats.Collisions++
+		sw.collisions++
+	case SlotEmpty:
+		stats.Empties++
+	}
+	return nil
+}
+
 // runFixed is the historical sweep structure: fixed Q per sweep, Schoute
 // backlog estimation between sweeps. With Fault == nil it issues exactly
 // the command sequence of the pre-fault controller.
@@ -470,39 +508,21 @@ func (ic *InventoryController) runFixed(m *medium, stats *RoundStats, q byte, ma
 	for stats.Commands < maxCmds {
 		// One sweep: Query opens slot 0; QueryReps advance.
 		outcome, reply, resp := issue(&gen2.Query{Session: ic.Session, Q: q})
-		sweepSingles, sweepCollisions := 0, 0
+		var sw sweep
 		slots := 1 << uint(q)
 		for slot := 0; slot < slots && stats.Commands < maxCmds; slot++ {
-			stats.Slots++
-			if ic.Trace != nil {
-				ic.traceSlot(outcome)
-			}
-			switch outcome {
-			case SlotSingle, SlotCapture:
-				if outcome == SlotCapture {
-					stats.Captures++
-				} else {
-					stats.Singles++
-				}
-				sweepSingles++
-				if err := ic.singulate(stats, issue, reply, resp, outcome == SlotCapture, r); err != nil {
-					return nil, err
-				}
-			case SlotCollision:
-				stats.Collisions++
-				sweepCollisions++
-			case SlotEmpty:
-				stats.Empties++
+			if err := ic.resolveSlot(stats, &sw, issue, outcome, reply, resp, r); err != nil {
+				return nil, err
 			}
 			if slot < slots-1 {
 				outcome, reply, resp = issue(&gen2.QueryRep{Session: ic.Session})
 			}
 		}
-		if sweepSingles == 0 && sweepCollisions == 0 {
+		if sw.singles == 0 && sw.collisions == 0 {
 			break // drained
 		}
 		// Schoute backlog estimate: ≈2.39 tags per colliding slot.
-		backlog := int(2.39*float64(sweepCollisions) + 0.5)
+		backlog := int(2.39*float64(sw.collisions) + 0.5)
 		if backlog == 0 {
 			// Singles only: one more tight sweep catches stragglers that
 			// were mid-handshake.
@@ -532,31 +552,17 @@ func (ic *InventoryController) runAdaptive(m *medium, stats *RoundStats, q byte,
 	fq := newFloatQ(q, ic.Recovery.qStep())
 	for stats.Commands < maxCmds {
 		outcome, reply, resp := issue(&gen2.Query{Session: ic.Session, Q: q})
-		sweepSingles, sweepCollisions := 0, 0
+		var sw sweep
 		slots := 1 << uint(q)
 		slot := 0
 		for slot < slots && stats.Commands < maxCmds {
-			stats.Slots++
-			if ic.Trace != nil {
-				ic.traceSlot(outcome)
+			if err := ic.resolveSlot(stats, &sw, issue, outcome, reply, resp, r); err != nil {
+				return nil, err
 			}
 			switch outcome {
-			case SlotSingle, SlotCapture:
-				if outcome == SlotCapture {
-					stats.Captures++
-				} else {
-					stats.Singles++
-				}
-				sweepSingles++
-				if err := ic.singulate(stats, issue, reply, resp, outcome == SlotCapture, r); err != nil {
-					return nil, err
-				}
 			case SlotCollision:
-				stats.Collisions++
-				sweepCollisions++
 				fq.collision()
 			case SlotEmpty:
-				stats.Empties++
 				fq.empty()
 			}
 			slot++
@@ -581,7 +587,7 @@ func (ic *InventoryController) runAdaptive(m *medium, stats *RoundStats, q byte,
 			}
 			outcome, reply, resp = issue(&gen2.QueryRep{Session: ic.Session})
 		}
-		if sweepSingles == 0 && sweepCollisions == 0 {
+		if sw.singles == 0 && sw.collisions == 0 {
 			break // drained
 		}
 		q = fq.target()
