@@ -233,3 +233,19 @@ func TestUnknownExperimentNamedOnce(t *testing.T) {
 		t.Fatalf("stderr %q, want one \"ivnsim:\" prefix before the unknown id", msg)
 	}
 }
+
+// TestOversizedTrialsRejected requires a trial count no run could hold
+// in memory to exit 2 with the validation message, before any trial
+// runs: it once crashed the process while sizing the trial storage.
+func TestOversizedTrialsRejected(t *testing.T) {
+	t.Parallel()
+	for _, id := range []string{"population", "fig12"} {
+		out, stderr, code := run(t, bin(t, "ivnsim"), "-run", id, "-quick", "-trials", "4000000000000000000")
+		if code != 2 || len(out) != 0 {
+			t.Fatalf("%s: exit %d with %d bytes on stdout, want exit 2 and none\n%s", id, code, len(out), stderr)
+		}
+		if msg := string(stderr); !strings.HasPrefix(msg, "ivnsim: runspec: 4000000000000000000 trials is over the limit") {
+			t.Fatalf("%s: stderr %q", id, msg)
+		}
+	}
+}

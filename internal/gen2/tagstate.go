@@ -336,7 +336,7 @@ func (t *TagLogic) enterSlot() Reply {
 		t.rn16 = uint16(t.random.Uint64())
 		t.state = StateReply
 		r := RN16Reply{RN16: t.rn16}
-		return Reply{Kind: ReplyRN16, Bits: r.AppendBits(nil)}
+		return Reply{Kind: ReplyRN16, Bits: r.AppendBits(make(Bits, 0, 16))}
 	}
 	t.state = StateArbitrate
 	return Reply{Kind: ReplyNone}
@@ -445,7 +445,8 @@ func (t *TagLogic) handleACK(a *ACK) Reply {
 		// a real tag rather than panicking.
 		return Reply{Kind: ReplyNone}
 	}
-	return Reply{Kind: ReplyEPC, Bits: er.AppendBits(nil)}
+	// PC word, EPC, CRC-16.
+	return Reply{Kind: ReplyEPC, Bits: er.AppendBits(make(Bits, 0, 32+8*len(t.epc)))}
 }
 
 func (t *TagLogic) handleRead(rd *Read) Reply {

@@ -64,6 +64,12 @@ type Spec struct {
 	Resume bool `json:"resume,omitempty"`
 }
 
+// maxTrials bounds Spec.Trials: 50 times the largest default trial count
+// (2000). The engine pre-sizes per-trial storage, so an unbounded count
+// could abort the process before the first trial ran. A cost model over
+// trials, sweep points and population size would bound the work itself.
+const maxTrials = 100_000
+
 // Validate checks the spec against the experiment registry and the
 // engine's parameter contracts. A valid spec is guaranteed to resolve in
 // Run without an argument error (trial-level failures can still occur).
@@ -78,6 +84,9 @@ func (s Spec) Validate() error {
 	}
 	if s.Trials < 0 {
 		return fmt.Errorf("runspec: negative trials %d", s.Trials)
+	}
+	if s.Trials > maxTrials {
+		return fmt.Errorf("runspec: %d trials is over the limit of %d", s.Trials, maxTrials)
 	}
 	for _, v := range s.FaultScales {
 		if math.IsNaN(v) || math.IsInf(v, 0) {

@@ -16,14 +16,18 @@ import (
 )
 
 func TestValidate(t *testing.T) {
-	good := Spec{Experiment: "fig9", Seed: 1}
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
+	for _, good := range []Spec{{Experiment: "fig9", Seed: 1}, {Experiment: "fig9", Trials: maxTrials}} {
+		if err := good.Validate(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	bad := []Spec{
 		{},
 		{Experiment: "no-such-experiment"},
 		{Experiment: "fig9", Trials: -1},
+		{Experiment: "fig12", Trials: 1 << 40},
+		{Experiment: "population", Trials: 4e18},
+		{Experiment: "fig9", Trials: maxTrials + 1},
 		{Experiment: "faultmatrix", FaultScales: []float64{-1}},
 		{Experiment: "faultmatrix", FaultScales: []float64{math.NaN()}},
 		{Experiment: "faultmatrix", FaultScales: []float64{math.Inf(1)}},

@@ -320,6 +320,7 @@ func TestHTTPValidation(t *testing.T) {
 		"unknown field": `{"experiment":"fig9","seeed":1}`,
 		"unknown id":    `{"experiment":"no-such-experiment"}`,
 		"bad trials":    `{"experiment":"fig9","trials":-4}`,
+		"huge trials":   `{"experiment":"fig12","trials":1099511627776}`,
 	} {
 		resp, err := http.Post(srv.URL+"/v1/runs", "application/json", strings.NewReader(body))
 		if err != nil {

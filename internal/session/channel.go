@@ -35,8 +35,9 @@ type Channel interface {
 	// to lock onto it, the slot behaves as a single for that tag — its
 	// RN16 is considered decoded (under the losers' interference) by the
 	// time Capture returns a winner. responders are population indices
-	// of the tags that replied. Returns the winning index, or -1 for an
-	// unresolvable collision.
+	// of the tags that replied, in ascending order; the slice is the
+	// controller's scratch and must not be kept past the call. Returns the
+	// winning index, or -1 for an unresolvable collision.
 	Capture(responders []int, r *rng.Rand) int
 	// ReceiveSeconds is the sim-clock time one uplink capture occupies
 	// (the reader's coherent-averaging window); the trace clock advances

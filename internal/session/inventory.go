@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"ivn/internal/gen2"
 	"ivn/internal/rng"
@@ -168,6 +169,8 @@ type InventoryController struct {
 	cmdClock int
 	// pie times traced commands; defaulted lazily, never used untraced.
 	pie gen2.PIEParams
+	// m is the air interface of the current round.
+	m medium
 }
 
 // NewInventoryController returns a controller with spec-typical defaults.
@@ -264,29 +267,39 @@ func (s RoundStats) Efficiency() float64 {
 // fault interposes on every broadcast: command truncation, per-tag
 // power, uplink corruption. Replies report the responder's population
 // index (-1 when no single responder) so the channel can look up its
-// realized budget.
+// realized budget. The controller keeps one medium and re-binds it each
+// round, so its index and scratch are allocated once per controller.
 type medium struct {
+	pop     gen2.Population
 	tags    []*gen2.TagLogic
 	channel Channel
 	rand    *rng.Rand
 	fault   ChannelFault
 	clock   *int
-	lit     []bool           // last observed power state per tag (fault != nil only)
-	on      []*gen2.TagLogic // the tags powered for the current command
-	onIndex []int            // their population indices
+	lit     []bool // last observed power state per tag (fault != nil only)
 	stats   *RoundStats
 	trace   *Trace
+
+	// got and responders collect one command's replies; the command
+	// values are re-filled for every command a round issues.
+	got        []gen2.Reply
+	responders []int
+	query      gen2.Query
+	rep        gen2.QueryRep
+	adjust     gen2.QueryAdjust
+	ack        gen2.ACK
 }
 
 // broadcast sends a command to every powered tag and classifies replies.
 // Without a fault every tag is powered and no command is truncated; the
-// command clock still advances, though only a fault ever reads it. A
-// fault's power check runs as a pass of its own (poweredTags), so the
-// loop that hands out the command carries no per-tag branch.
+// command clock still advances, though only a fault ever reads it. The
+// population index decides which tags the command visits; a fault's
+// power check is the one pass over every tag, and it runs first, so a
+// browned-out tag is already back in Ready when the command arrives.
 func (m *medium) broadcast(c gen2.Command) (SlotOutcome, gen2.Reply, int) {
 	cmd := *m.clock
 	*m.clock++
-	tags, index := m.tags, []int(nil)
+	var powered []bool
 	if m.fault != nil {
 		if m.fault.CommandTruncated(cmd) {
 			m.stats.Truncated++
@@ -295,45 +308,38 @@ func (m *medium) broadcast(c gen2.Command) (SlotOutcome, gen2.Reply, int) {
 			}
 			return SlotEmpty, gen2.Reply{Kind: gen2.ReplyNone}, -1
 		}
-		tags, index = m.poweredTags(cmd)
+		m.observePower(cmd)
+		powered = m.lit
 	}
-	var got []gen2.Reply
-	var responders []int
-	for k, t := range tags {
-		if r := t.HandleCommand(c); r.Kind != gen2.ReplyNone {
-			i := k
-			if index != nil {
-				i = index[k]
-			}
-			got = append(got, r)
-			responders = append(responders, i)
-		}
-	}
-	return m.classify(cmd, got, responders)
+	m.got, m.responders = m.pop.Broadcast(c, powered, m.got[:0], m.responders[:0])
+	return m.classify(cmd, m.got, m.responders)
 }
 
-// poweredTags returns the tags the fault keeps powered for command cmd,
-// with their population indices, and power-resets every tag that browns
-// out after being lit.
-func (m *medium) poweredTags(cmd int) ([]*gen2.TagLogic, []int) {
-	m.on, m.onIndex = m.on[:0], m.onIndex[:0]
+// endRound hands the tags back with exact slot counters and drops the
+// medium's references to the round's tags, replies, channel, stream,
+// fault, stats and trace; only reusable scratch outlives the round.
+func (m *medium) endRound() {
+	m.pop.Reset(nil)
+	clear(m.got[:cap(m.got)])
+	m.got, m.responders = m.got[:0], m.responders[:0]
+	m.tags, m.channel, m.rand, m.fault, m.stats, m.trace = nil, nil, nil, nil, nil, nil
+}
+
+// observePower records which tags the fault keeps powered for command
+// cmd in m.lit, and power-resets every tag that browns out after being
+// lit.
+func (m *medium) observePower(cmd int) {
 	for i, t := range m.tags {
-		if m.fault.TagPowered(cmd, i) {
-			m.lit[i] = true
-			m.on = append(m.on, t)
-			m.onIndex = append(m.onIndex, i)
-			continue
-		}
-		if m.lit[i] {
+		on := m.fault.TagPowered(cmd, i)
+		if !on && m.lit[i] {
 			t.PowerReset()
 			m.stats.Brownouts++
 			if m.trace != nil {
 				m.trace.Emit(Event{Kind: EvFaultFired, Outcome: "brownout", EPC: fmt.Sprintf("%x", t.EPC())})
 			}
 		}
-		m.lit[i] = false
+		m.lit[i] = on
 	}
-	return m.on, m.onIndex
 }
 
 // classify resolves the collected replies of one broadcast into a slot
@@ -395,29 +401,45 @@ func (ic *InventoryController) runRound(tags []*gen2.TagLogic, q byte, r *rng.Ra
 		maxCmds = 4096
 	}
 	stats := &RoundStats{}
-	m := &medium{tags: tags, channel: ic.Channel, rand: r, fault: ic.Fault, clock: &ic.cmdClock, stats: stats, trace: ic.Trace}
+	m := &ic.m
+	m.pop.Reset(tags)
+	defer m.endRound()
+	m.tags, m.channel, m.rand, m.fault, m.clock, m.stats, m.trace = tags, ic.Channel, r, ic.Fault, &ic.cmdClock, stats, ic.Trace
+	m.query = gen2.Query{Session: ic.Session}
+	m.rep = gen2.QueryRep{Session: ic.Session}
+	m.adjust = gen2.QueryAdjust{Session: ic.Session}
 	if ic.Fault != nil {
-		m.lit = make([]bool, len(tags))
+		m.lit = slices.Grow(m.lit[:0], len(tags))[:len(tags)]
 		for i := range m.lit {
 			m.lit[i] = true
 		}
 	}
 	if ic.Recovery != nil {
-		return ic.runAdaptive(m, stats, q, maxCmds, r)
+		return ic.runAdaptive(stats, q, maxCmds, r)
 	}
-	return ic.runFixed(m, stats, q, maxCmds, r)
+	return ic.runFixed(stats, q, maxCmds, r)
 }
 
-// issuer issues one command, charging the round's command budget and
+// issue issues one command, charging the round's command budget and
 // advancing the trace clock past the command's on-air time.
-func (ic *InventoryController) issuer(m *medium, stats *RoundStats) func(gen2.Command) (SlotOutcome, gen2.Reply, int) {
-	return func(c gen2.Command) (SlotOutcome, gen2.Reply, int) {
-		stats.Commands++
-		if ic.Trace != nil {
-			ic.traceCommand(c)
-		}
-		return m.broadcast(c)
+func (ic *InventoryController) issue(c gen2.Command) (SlotOutcome, gen2.Reply, int) {
+	ic.m.stats.Commands++
+	if ic.Trace != nil {
+		ic.traceCommand(c)
 	}
+	return ic.m.broadcast(c)
+}
+
+// query issues the round's Query at slot-count exponent q.
+func (ic *InventoryController) query(q byte) (SlotOutcome, gen2.Reply, int) {
+	ic.m.query.Q = q
+	return ic.issue(&ic.m.query)
+}
+
+// ack issues an ACK echoing rn16.
+func (ic *InventoryController) ack(rn16 uint16) (SlotOutcome, gen2.Reply, int) {
+	ic.m.ack.RN16 = rn16
+	return ic.issue(&ic.m.ack)
 }
 
 // traceCommand advances the sim clock by the command's PIE frame
@@ -477,7 +499,7 @@ type sweep struct{ singles, collisions int }
 
 // resolveSlot tallies one slot's outcome into the round and sweep counts,
 // traces it, and singulates a single or captured reply.
-func (ic *InventoryController) resolveSlot(stats *RoundStats, sw *sweep, issue func(gen2.Command) (SlotOutcome, gen2.Reply, int), outcome SlotOutcome, reply gen2.Reply, resp int, r *rng.Rand) error {
+func (ic *InventoryController) resolveSlot(stats *RoundStats, sw *sweep, outcome SlotOutcome, reply gen2.Reply, resp int, r *rng.Rand) error {
 	stats.Slots++
 	if ic.Trace != nil {
 		ic.traceSlot(outcome)
@@ -490,7 +512,7 @@ func (ic *InventoryController) resolveSlot(stats *RoundStats, sw *sweep, issue f
 			stats.Singles++
 		}
 		sw.singles++
-		return ic.singulate(stats, issue, reply, resp, outcome == SlotCapture, r)
+		return ic.singulate(stats, reply, resp, outcome == SlotCapture, r)
 	case SlotCollision:
 		stats.Collisions++
 		sw.collisions++
@@ -503,19 +525,18 @@ func (ic *InventoryController) resolveSlot(stats *RoundStats, sw *sweep, issue f
 // runFixed is the historical sweep structure: fixed Q per sweep, Schoute
 // backlog estimation between sweeps. With Fault == nil it issues exactly
 // the command sequence of the pre-fault controller.
-func (ic *InventoryController) runFixed(m *medium, stats *RoundStats, q byte, maxCmds int, r *rng.Rand) (*RoundStats, error) {
-	issue := ic.issuer(m, stats)
+func (ic *InventoryController) runFixed(stats *RoundStats, q byte, maxCmds int, r *rng.Rand) (*RoundStats, error) {
 	for stats.Commands < maxCmds {
 		// One sweep: Query opens slot 0; QueryReps advance.
-		outcome, reply, resp := issue(&gen2.Query{Session: ic.Session, Q: q})
+		outcome, reply, resp := ic.query(q)
 		var sw sweep
 		slots := 1 << uint(q)
 		for slot := 0; slot < slots && stats.Commands < maxCmds; slot++ {
-			if err := ic.resolveSlot(stats, &sw, issue, outcome, reply, resp, r); err != nil {
+			if err := ic.resolveSlot(stats, &sw, outcome, reply, resp, r); err != nil {
 				return nil, err
 			}
 			if slot < slots-1 {
-				outcome, reply, resp = issue(&gen2.QueryRep{Session: ic.Session})
+				outcome, reply, resp = ic.issue(&ic.m.rep)
 			}
 		}
 		if sw.singles == 0 && sw.collisions == 0 {
@@ -547,16 +568,15 @@ func (ic *InventoryController) runFixed(m *medium, stats *RoundStats, q byte, ma
 // per-sweep estimation when faults churn protocol state mid-round. The
 // accumulator is clamped to the spec's [0,15] and each QueryAdjust steps
 // the commanded Q by exactly the ±1 the command carries (see floatQ).
-func (ic *InventoryController) runAdaptive(m *medium, stats *RoundStats, q byte, maxCmds int, r *rng.Rand) (*RoundStats, error) {
-	issue := ic.issuer(m, stats)
+func (ic *InventoryController) runAdaptive(stats *RoundStats, q byte, maxCmds int, r *rng.Rand) (*RoundStats, error) {
 	fq := newFloatQ(q, ic.Recovery.qStep())
 	for stats.Commands < maxCmds {
-		outcome, reply, resp := issue(&gen2.Query{Session: ic.Session, Q: q})
+		outcome, reply, resp := ic.query(q)
 		var sw sweep
 		slots := 1 << uint(q)
 		slot := 0
 		for slot < slots && stats.Commands < maxCmds {
-			if err := ic.resolveSlot(stats, &sw, issue, outcome, reply, resp, r); err != nil {
+			if err := ic.resolveSlot(stats, &sw, outcome, reply, resp, r); err != nil {
 				return nil, err
 			}
 			switch outcome {
@@ -575,17 +595,17 @@ func (ic *InventoryController) runAdaptive(m *medium, stats *RoundStats, q byte,
 				// the command encodes — the reader and every tag stay in
 				// lockstep for any C, and Q never leaves [0,15].
 				stats.QueryAdjusts++
-				upDn := gen2.QUp
+				ic.m.adjust.UpDn = gen2.QUp
 				if !up {
-					upDn = gen2.QDown
+					ic.m.adjust.UpDn = gen2.QDown
 				}
 				q = nq
 				slots = 1 << uint(q)
 				slot = 0
-				outcome, reply, resp = issue(&gen2.QueryAdjust{Session: ic.Session, UpDn: upDn})
+				outcome, reply, resp = ic.issue(&ic.m.adjust)
 				continue
 			}
-			outcome, reply, resp = issue(&gen2.QueryRep{Session: ic.Session})
+			outcome, reply, resp = ic.issue(&ic.m.rep)
 		}
 		if sw.singles == 0 && sw.collisions == 0 {
 			break // drained
@@ -604,7 +624,7 @@ func (ic *InventoryController) runAdaptive(m *medium, stats *RoundStats, q byte,
 // their budget-derived decode draws; a captured slot (captured=true)
 // arrives with its RN16 already decoded under the losers' interference,
 // inside Channel.Capture.
-func (ic *InventoryController) singulate(stats *RoundStats, issue func(gen2.Command) (SlotOutcome, gen2.Reply, int), reply gen2.Reply, responder int, captured bool, r *rng.Rand) error {
+func (ic *InventoryController) singulate(stats *RoundStats, reply gen2.Reply, responder int, captured bool, r *rng.Rand) error {
 	if ic.Channel != nil {
 		if captured {
 			// Capture already drew the interference-degraded RN16 decode;
@@ -646,7 +666,7 @@ func (ic *InventoryController) singulate(stats *RoundStats, issue func(gen2.Comm
 		}
 		return nil
 	}
-	ackOutcome, epcReply, epcResp := issue(&gen2.ACK{RN16: rn.RN16})
+	ackOutcome, epcReply, epcResp := ic.ack(rn.RN16)
 	if ackOutcome == SlotSingle && epcReply.Kind == gen2.ReplyEPC {
 		chOK := true
 		if ic.Channel != nil {
@@ -678,7 +698,7 @@ func (ic *InventoryController) singulate(stats *RoundStats, issue func(gen2.Comm
 			if ic.Trace != nil {
 				ic.Trace.Emit(Event{Kind: EvRetryTaken, Cmd: "ACK", Attempt: attempt + 1})
 			}
-			outcome, rep, rresp := issue(&gen2.ACK{RN16: rn.RN16})
+			outcome, rep, rresp := ic.ack(rn.RN16)
 			if outcome != SlotSingle || rep.Kind != gen2.ReplyEPC {
 				continue
 			}

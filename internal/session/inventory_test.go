@@ -174,3 +174,56 @@ func TestRunRoundDeterministic(t *testing.T) {
 		t.Fatalf("rounds differ across identical seeds: %d vs %d", a, b)
 	}
 }
+
+// replyCounter is an ideal Channel that counts every tag reply the
+// controller sees: singulated replies reach DecodeReply, collided ones
+// reach Capture, which never resolves them.
+type replyCounter struct{ replies int }
+
+func (c *replyCounter) DecodeReply(int, gen2.Reply, string, *rng.Rand) (ChannelDecode, error) {
+	c.replies++
+	return ChannelDecode{OK: true}, nil
+}
+
+func (c *replyCounter) Capture(responders []int, _ *rng.Rand) int {
+	c.replies += len(responders)
+	return -1
+}
+
+func (*replyCounter) ReceiveSeconds() float64 { return 0 }
+
+// TestRunRoundAllocsScaleWithReplies pins the inventory path's
+// allocations to the tags' replies (each reply's bits, each decoded EPC):
+// issuing a command, handing it to the population and collecting its
+// replies allocate nothing, so neither the command count nor the
+// population size enters the budget.
+func TestRunRoundAllocsScaleWithReplies(t *testing.T) {
+	for _, floating := range []bool{false, true} {
+		tags := makePopulation(t, 256, 11)
+		ch := &replyCounter{}
+		ic := NewInventoryController(gen2.S0)
+		ic.MaxCommands = 12*len(tags) + 256
+		ic.Channel = ch
+		if floating {
+			ic.Recovery = DefaultRecovery()
+		}
+		r := rng.New(12)
+		commands, runs := 0, 0
+		allocs := testing.AllocsPerRun(5, func() {
+			for _, tg := range tags {
+				tg.PowerReset()
+			}
+			stats, err := ic.RunRound(tags, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			commands += stats.Commands
+			runs++
+		})
+		replies := float64(ch.replies) / float64(runs)
+		t.Logf("floating=%t: %.0f allocs, %.0f replies, %d commands per round", floating, allocs, replies, commands/runs)
+		if budget := 2*replies + 16; allocs > budget {
+			t.Errorf("floating=%t: a round allocates %.0f times for %.0f replies over %d commands, budget %.0f", floating, allocs, replies, commands/runs, budget)
+		}
+	}
+}

@@ -19,6 +19,11 @@
 #                              and the merge coverage check on arbitrary
 #                              bytes (the committed corpus already
 #                              replays in stage 4)
+# 5c. indexed-broadcast fuzz — FuzzIndexedBroadcast for a short fixed
+#                              time: random command scripts through the
+#                              gen2 population index against
+#                              HandleCommand on every tag, requiring the
+#                              same replies, reply order and tag state
 # 6. end-to-end              — go test ./e2e/: builds ivnsim and ivnsimd
 #                              once and drives the real binaries: quick
 #                              faultmatrix/adaptiveq runs, complete -json
@@ -79,6 +84,9 @@ stage "go test -race (parallel trial paths)" \
 # Two fuzz workers keep the stage light on shared CI runners.
 stage "record-log fuzz" \
   go test -run '^$' -fuzz '^FuzzRecordLog$' -fuzztime 10s -parallel 2 ./internal/ivnsim/runspec/
+
+stage "indexed-broadcast fuzz" \
+  go test -run '^$' -fuzz '^FuzzIndexedBroadcast$' -fuzztime 10s -parallel 2 ./internal/gen2/
 
 stage "end-to-end" go test -count=1 ./e2e/
 
