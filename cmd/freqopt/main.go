@@ -9,11 +9,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
 	"ivn/internal/core"
+	"ivn/internal/engine"
 	"ivn/internal/rng"
 )
 
@@ -30,6 +32,9 @@ func main() {
 	flag.Parse()
 
 	cfg := core.DefaultOptimizerConfig()
+	cfg.ForEach = func(n int, fn func(i int) error) error {
+		return engine.ForEachCtx(context.Background(), engine.Limits{}, n, fn)
+	}
 	cfg.Alpha = *alpha
 	cfg.CommandDuration = *dt
 	if *trials > 0 {
@@ -49,32 +54,37 @@ func main() {
 
 	r := rng.New(*seed)
 	plan, err := core.Optimize(*n, cfg, r.Split("discovery"))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "freqopt: %v\n", err)
-		os.Exit(1)
-	}
+	check(err)
 	fmt.Printf("discovery plan: %s\n", plan)
 
 	if *steady > 0 {
 		sp, err := core.OptimizeConductionAngle(*n, *steady, cfg, r.Split("steady"))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "freqopt: %v\n", err)
-			os.Exit(1)
-		}
-		dwell := core.ExpectedDwellTime(sp.Offsets, *steady*float64(*n), 60, 8192, rng.New(*seed+1))
+		check(err)
+		dwell, err := core.ExpectedDwellTime(sp.Offsets, *steady*float64(*n), 60, 8192, rng.New(*seed+1), cfg.ForEach)
+		check(err)
 		fmt.Printf("steady plan (ρ=%.2f): offsets %v, E[dwell] %.2f ms\n", *steady, sp.Offsets, dwell*1e3)
 	}
 
 	paper := core.PaperOffsets()
 	if *n <= len(paper) {
 		p := paper[:*n]
-		score := core.ExpectedPeak(p, cfg.Trials, cfg.SamplesPerTrial, rng.New(*seed+2))
+		score, err := core.ExpectedPeak(p, cfg.Trials, cfg.SamplesPerTrial, rng.New(*seed+2), cfg.ForEach)
+		check(err)
 		fmt.Printf("paper plan %v: E[peak]/N = %.3f, RMS = %.1f Hz\n",
 			p, score/float64(*n), core.RMSOffset(p))
 	}
 	if bk, err := core.BestKnownPlan(*n); err == nil {
-		score := core.ExpectedPeak(bk, cfg.Trials, cfg.SamplesPerTrial, rng.New(*seed+3))
+		score, err := core.ExpectedPeak(bk, cfg.Trials, cfg.SamplesPerTrial, rng.New(*seed+3), cfg.ForEach)
+		check(err)
 		fmt.Printf("best-known plan %v: E[peak]/N = %.3f, RMS = %.1f Hz\n",
 			bk, score/float64(*n), core.RMSOffset(bk))
+	}
+}
+
+// check exits with status 1 on a failed search or estimate.
+func check(err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "freqopt: %v\n", err)
+		os.Exit(1)
 	}
 }

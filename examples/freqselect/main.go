@@ -23,7 +23,11 @@ func main() {
 
 	// How much does selection matter? Compare three plans.
 	eval := func(offsets []float64) float64 {
-		return core.ExpectedPeak(offsets, 64, 4096, rng.New(99))
+		v, err := core.ExpectedPeak(offsets, 64, 4096, rng.New(99), nil)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return v
 	}
 	arithmetic := core.ArithmeticOffsets(n, 2)
 	paper := core.PaperOffsets()[:n]
@@ -58,8 +62,14 @@ func main() {
 		log.Fatal(err)
 	}
 	level := 0.5 * float64(n)
-	dDisc := core.ExpectedDwellTime(plan.Offsets, level, 64, 8192, rng.New(3))
-	dSteady := core.ExpectedDwellTime(steady.Offsets, level, 64, 8192, rng.New(3))
+	dDisc, err := core.ExpectedDwellTime(plan.Offsets, level, 64, 8192, rng.New(3), nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	dSteady, err := core.ExpectedDwellTime(steady.Offsets, level, 64, 8192, rng.New(3), nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\ntwo-stage extension (threshold at 50%% of max peak):\n")
 	fmt.Printf("  discovery plan dwell: %.2f ms per burst\n", dDisc*1e3)
 	fmt.Printf("  steady plan %v dwell: %.2f ms per burst\n", steady.Offsets, dSteady*1e3)

@@ -125,67 +125,127 @@ func drawBetas(dst []float64, r *rng.Rand) {
 	}
 }
 
+// ForEach is the fan-out seam of the Monte-Carlo estimators: it runs
+// fn(0..n-1), possibly concurrently, and returns the error of the
+// lowest-indexed failure or its own (a cancelled run's context error).
+// A nil ForEach runs the calls in order on the caller. core starts no
+// goroutine itself; callers bind the seam to a bounded worker pool, and
+// results never depend on whether or how they do.
+type ForEach func(n int, fn func(i int) error) error
+
+// drawScan is one estimator's per-draw scan: a pure function of the plan,
+// one phase draw, the estimator's level and the samples per period.
+type drawScan func(offsets, betas []float64, level float64, samples int) float64
+
+// monteCarlo is one estimator call: its phase draws, laid out trial after
+// trial in betas, and the per-trial values its scan writes to out.
+type monteCarlo struct {
+	offsets, betas, out []float64
+	level               float64
+	samples             int
+	scan                drawScan
+}
+
+// trial scans draw t into out[t]. Trials write disjoint slots and share
+// everything else read-only, so any number may run concurrently.
+func (m monteCarlo) trial(t int) error {
+	n := len(m.offsets)
+	m.out[t] = m.scan(m.offsets, m.betas[t*n:(t+1)*n], m.level, m.samples)
+	return nil
+}
+
+// runMonteCarlo is the estimators' one draw-and-scan loop. It draws
+// len(out) phase vectors from r in trial order before any scan runs, so r
+// ends where alternately drawing and scanning would leave it; runs scan on
+// every draw through each; and leaves trial t's value in out[t]. Callers
+// reduce out in trial order, so the result is bit-identical for a nil and
+// a concurrent each.
+func runMonteCarlo(offsets []float64, level float64, samples int, r *rng.Rand, each ForEach, scan drawScan, out []float64) error {
+	n := len(offsets)
+	betas := pool.Float64(len(out) * n)
+	defer pool.PutFloat64(betas)
+	for t := range out {
+		drawBetas(betas[t*n:(t+1)*n], r)
+	}
+	// Only the fan-out branch binds mc into a func value (a heap copy), so
+	// the nil-seam path allocates nothing.
+	mc := monteCarlo{offsets: offsets, betas: betas, out: out, level: level, samples: samples, scan: scan}
+	if each == nil {
+		for t := range out {
+			if err := mc.trial(t); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return each(len(out), mc.trial)
+}
+
+// meanOf runs scan over trials draws and returns the mean of the
+// per-trial values, summed in trial order.
+func meanOf(offsets []float64, level float64, trials, samples int, r *rng.Rand, each ForEach, scan drawScan) (float64, error) {
+	vals := pool.Float64(trials)
+	defer pool.PutFloat64(vals)
+	if err := runMonteCarlo(offsets, level, samples, r, each, scan, vals); err != nil {
+		return 0, err
+	}
+	var acc float64
+	for _, v := range vals {
+		acc += v
+	}
+	return acc / float64(trials), nil
+}
+
+// peakPower is PeakCDF's per-draw scan: max_t Y(t)² over one 1 s period.
+func peakPower(offsets, betas []float64, _ float64, samples int) float64 {
+	coeffs := phaseCoeffs(betas)
+	p := phasor.PeakPower(offsets, coeffs, 0, 1.0/float64(samples), samples)
+	pool.PutComplex128(coeffs)
+	return p
+}
+
+// peak is ExpectedPeak's per-draw scan: max_t Y(t) over one 1 s period.
+func peak(offsets, betas []float64, level float64, samples int) float64 {
+	return math.Sqrt(peakPower(offsets, betas, level, samples))
+}
+
+// fractionAbove is ExpectedConductionFraction's per-draw scan.
+func fractionAbove(offsets, betas []float64, level float64, samples int) float64 {
+	return FractionAbove(offsets, betas, level, 1.0, samples)
+}
+
 // ExpectedPeak estimates E_β[max_t Y(t)] (the Eq. 6 objective) by Monte
 // Carlo: trials random phase draws, each scanning samplesPerTrial points
 // over one envelope period. The period is 1 s by the paper's integer-Δf
-// convention. Deterministic for a given r state.
-func ExpectedPeak(offsets []float64, trials, samplesPerTrial int, r *rng.Rand) float64 {
+// convention. Deterministic for a given r state, whatever each is; the
+// only error is each's.
+func ExpectedPeak(offsets []float64, trials, samplesPerTrial int, r *rng.Rand, each ForEach) (float64, error) {
 	if len(offsets) == 0 || trials <= 0 || samplesPerTrial <= 0 {
-		return 0
+		return 0, nil
 	}
-	betas := pool.Float64(len(offsets))
-	coeffs := pool.Complex128(len(offsets))
-	dt := 1.0 / float64(samplesPerTrial)
-	var acc float64
-	for t := 0; t < trials; t++ {
-		drawBetas(betas, r)
-		for i, b := range betas {
-			s, c := math.Sincos(b)
-			coeffs[i] = complex(c, s)
-		}
-		acc += math.Sqrt(phasor.PeakPower(offsets, coeffs, 0, dt, samplesPerTrial))
-	}
-	pool.PutComplex128(coeffs)
-	pool.PutFloat64(betas)
-	return acc / float64(trials)
+	return meanOf(offsets, 0, trials, samplesPerTrial, r, each, peak)
 }
 
 // PeakCDF samples the distribution of per-channel-draw peak *power* gains
 // (peak² — Fig. 6 plots power) for a frequency set: one sample per random
 // β draw. The returned slice has trials entries.
-func PeakCDF(offsets []float64, trials, samplesPerTrial int, r *rng.Rand) []float64 {
-	out := make([]float64, 0, trials)
-	betas := pool.Float64(len(offsets))
-	coeffs := pool.Complex128(len(offsets))
-	dt := 1.0 / float64(samplesPerTrial)
-	for t := 0; t < trials; t++ {
-		drawBetas(betas, r)
-		for i, b := range betas {
-			s, c := math.Sincos(b)
-			coeffs[i] = complex(c, s)
-		}
-		out = append(out, phasor.PeakPower(offsets, coeffs, 0, dt, samplesPerTrial))
+func PeakCDF(offsets []float64, trials, samplesPerTrial int, r *rng.Rand, each ForEach) ([]float64, error) {
+	out := make([]float64, trials)
+	if err := runMonteCarlo(offsets, 0, samplesPerTrial, r, each, peakPower, out); err != nil {
+		return nil, err
 	}
-	pool.PutComplex128(coeffs)
-	pool.PutFloat64(betas)
-	return out
+	return out, nil
 }
 
 // ExpectedConductionFraction estimates E_β[fraction of t with Y(t) > level].
 // Note that this quantity is invariant under scaling all offsets by a
 // common factor (it only rescales time), so it measures a plan's *pattern*
 // quality; the duty-cycle trade of §3.7 shows up in dwell time instead.
-func ExpectedConductionFraction(offsets []float64, level float64, trials, samplesPerTrial int, r *rng.Rand) float64 {
+func ExpectedConductionFraction(offsets []float64, level float64, trials, samplesPerTrial int, r *rng.Rand, each ForEach) (float64, error) {
 	if len(offsets) == 0 || trials <= 0 {
-		return 0
+		return 0, nil
 	}
-	betas := make([]float64, len(offsets))
-	var acc float64
-	for t := 0; t < trials; t++ {
-		drawBetas(betas, r)
-		acc += FractionAbove(offsets, betas, level, 1.0, samplesPerTrial)
-	}
-	return acc / float64(trials)
+	return meanOf(offsets, level, trials, samplesPerTrial, r, each, fractionAbove)
 }
 
 // MaxDwellAbove returns the longest contiguous time (seconds, out of one
@@ -227,17 +287,11 @@ func MaxDwellAbove(offsets, betas []float64, level float64, samples int) float64
 // *continuous* above-threshold intervals; once the discovery stage has
 // established the attainable level, slower (smaller-Δf) plans hold the
 // envelope above it for longer per burst.
-func ExpectedDwellTime(offsets []float64, level float64, trials, samplesPerTrial int, r *rng.Rand) float64 {
+func ExpectedDwellTime(offsets []float64, level float64, trials, samplesPerTrial int, r *rng.Rand, each ForEach) (float64, error) {
 	if len(offsets) == 0 || trials <= 0 {
-		return 0
+		return 0, nil
 	}
-	betas := make([]float64, len(offsets))
-	var acc float64
-	for t := 0; t < trials; t++ {
-		drawBetas(betas, r)
-		acc += MaxDwellAbove(offsets, betas, level, samplesPerTrial)
-	}
-	return acc / float64(trials)
+	return meanOf(offsets, level, trials, samplesPerTrial, r, each, MaxDwellAbove)
 }
 
 // ValidateOffsets checks a CIB frequency plan: offset 0 present first,

@@ -100,7 +100,7 @@ func TestExpectedPeakGrowsWithN(t *testing.T) {
 	all := PaperOffsets()
 	prev := 0.0
 	for n := 2; n <= 10; n++ {
-		ep := ExpectedPeak(all[:n], 40, 2048, rng.New(uint64(n)))
+		ep := serial(ExpectedPeak(all[:n], 40, 2048, rng.New(uint64(n)), nil))
 		if ep <= prev {
 			t.Fatalf("expected peak at N=%d (%v) not above N=%d (%v)", n, ep, n-1, prev)
 		}
@@ -113,7 +113,7 @@ func TestExpectedPeakNearNForPaperSet(t *testing.T) {
 	// optimal performance" — the published set should reach a large
 	// fraction of N on average.
 	offsets := PaperOffsets()
-	ep := ExpectedPeak(offsets, 60, 8192, rng.New(7))
+	ep := serial(ExpectedPeak(offsets, 60, 8192, rng.New(7), nil))
 	// Pure-phase-model ground truth: ≈0.77·N for the 10-offset set (the
 	// 5-offset prefix reaches ≈0.96·N, matching Fig. 6's best curve; the
 	// extra gap at N=10 is closed in the full-system benches by
@@ -125,17 +125,17 @@ func TestExpectedPeakNearNForPaperSet(t *testing.T) {
 		t.Fatalf("expected peak %v exceeds N", ep)
 	}
 	// The 5-carrier prefix should approach N much more closely.
-	ep5 := ExpectedPeak(offsets[:5], 60, 8192, rng.New(7))
+	ep5 := serial(ExpectedPeak(offsets[:5], 60, 8192, rng.New(7), nil))
 	if ep5 < 0.9*5 {
 		t.Fatalf("5-offset expected peak %v < 90%% of 5", ep5)
 	}
 }
 
 func TestExpectedPeakDegenerateInputs(t *testing.T) {
-	if ExpectedPeak(nil, 10, 10, rng.New(1)) != 0 {
+	if serial(ExpectedPeak(nil, 10, 10, rng.New(1), nil)) != 0 {
 		t.Fatal("empty offsets")
 	}
-	if ExpectedPeak([]float64{0, 1}, 0, 10, rng.New(1)) != 0 {
+	if serial(ExpectedPeak([]float64{0, 1}, 0, 10, rng.New(1), nil)) != 0 {
 		t.Fatal("zero trials")
 	}
 }
@@ -147,8 +147,8 @@ func TestPeakCDFBestVsWorstSeparation(t *testing.T) {
 	// spread of the paper's first five offsets.
 	good := []float64{0, 7, 20, 49, 68}
 	bad := []float64{0, 1, 2, 3, 4}
-	gs := PeakCDF(good, 300, 2048, rng.New(11))
-	bs := PeakCDF(bad, 300, 2048, rng.New(11))
+	gs := serial(PeakCDF(good, 300, 2048, rng.New(11), nil))
+	bs := serial(PeakCDF(bad, 300, 2048, rng.New(11), nil))
 	var gm, bm float64
 	for i := range gs {
 		gm += gs[i]
@@ -199,8 +199,8 @@ func TestExpectedConductionFractionPeakVsSteadyTradeoff(t *testing.T) {
 	tight := []float64{0, 1, 2}
 	spread := []float64{0, 61, 127}
 	level := 1.5 // half of N=3
-	ft := ExpectedConductionFraction(tight, level, 60, 4096, rng.New(5))
-	fs := ExpectedConductionFraction(spread, level, 60, 4096, rng.New(5))
+	ft := serial(ExpectedConductionFraction(tight, level, 60, 4096, rng.New(5), nil))
+	fs := serial(ExpectedConductionFraction(spread, level, 60, 4096, rng.New(5), nil))
 	// Both operate; the comparison itself (tight ≥ spread) documents the
 	// mechanism. Equal RNG stream makes this a paired comparison.
 	if ft <= 0 || fs <= 0 {
@@ -260,6 +260,6 @@ func BenchmarkEnvelopeSeries10Carriers(b *testing.B) {
 func BenchmarkExpectedPeak(b *testing.B) {
 	offsets := PaperOffsets()
 	for i := 0; i < b.N; i++ {
-		ExpectedPeak(offsets, 10, 2048, rng.New(uint64(i)))
+		serial(ExpectedPeak(offsets, 10, 2048, rng.New(uint64(i)), nil))
 	}
 }

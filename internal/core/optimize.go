@@ -31,6 +31,10 @@ type OptimizerConfig struct {
 	Restarts int
 	// StepsPerRestart is the hill-climbing budget per start.
 	StepsPerRestart int
+	// ForEach fans each objective evaluation's Monte-Carlo scans out; nil
+	// runs them in order on the caller. Plans do not depend on it, and
+	// its error (a cancelled run's) ends the search.
+	ForEach ForEach
 }
 
 // DefaultOptimizerConfig balances quality and runtime: enough trials to
@@ -176,33 +180,53 @@ func Optimize(n int, cfg OptimizerConfig, r *rng.Rand) (Plan, error) {
 		}
 	}
 
-	eval := func(offs []float64) float64 {
-		// The evaluation stream is derived from the candidate itself so
-		// the objective is a pure function of the set — re-evaluating a
-		// candidate always returns the same score, which keeps the hill
-		// climb stable.
-		seed := uint64(0)
-		for _, f := range offs {
-			seed = seed*1000003 + uint64(f)
-		}
-		return ExpectedPeak(offs, cfg.Trials, cfg.SamplesPerTrial, rng.New(seed))
-	}
+	return climb(n, limit, cfg, r, func(offs []float64) (float64, error) {
+		return ExpectedPeak(offs, cfg.Trials, cfg.SamplesPerTrial, rng.New(candidateSeed(0, offs)), cfg.ForEach)
+	})
+}
 
+// candidateSeed derives a candidate's evaluation stream from the set
+// itself, salted per objective, so an objective is a pure function of the
+// set: re-evaluating a candidate always returns the same score, which
+// keeps the hill climb stable.
+func candidateSeed(salt uint64, offs []float64) uint64 {
+	seed := salt
+	for _, f := range offs {
+		seed = seed*1000003 + uint64(f)
+	}
+	return seed
+}
+
+// climb is the stochastic local search behind Optimize and
+// OptimizeConductionAngle: cfg.Restarts random feasible starts, each
+// hill-climbed for cfg.StepsPerRestart single-offset mutations on
+// objective, returning the best plan found. objective's error ends the
+// search.
+func climb(n int, limit float64, cfg OptimizerConfig, r *rng.Rand, objective func(offs []float64) (float64, error)) (Plan, error) {
 	var best Plan
+	haveBest := false
 	for restart := 0; restart < cfg.Restarts; restart++ {
 		cur := randomFeasibleOffsets(n, limit, r)
-		curScore := eval(cur)
+		curScore, err := objective(cur)
+		if err != nil {
+			return Plan{}, err
+		}
 		for step := 0; step < cfg.StepsPerRestart; step++ {
 			cand := mutate(cur, limit, r)
 			if cand == nil {
 				continue
 			}
-			if s := eval(cand); s > curScore {
+			s, err := objective(cand)
+			if err != nil {
+				return Plan{}, err
+			}
+			if s > curScore {
 				cur, curScore = cand, s
 			}
 		}
-		if curScore > best.Score {
+		if !haveBest || curScore > best.Score {
 			best = Plan{Offsets: cur, Score: curScore, RMS: RMSOffset(cur), Limit: limit}
+			haveBest = true
 		}
 	}
 	return best, nil
@@ -226,33 +250,9 @@ func OptimizeConductionAngle(n int, rho float64, cfg OptimizerConfig, r *rng.Ran
 		return Plan{}, err
 	}
 	level := rho * float64(n)
-	eval := func(offs []float64) float64 {
-		seed := uint64(1)
-		for _, f := range offs {
-			seed = seed*1000003 + uint64(f)
-		}
-		return ExpectedDwellTime(offs, level, cfg.Trials, cfg.SamplesPerTrial, rng.New(seed))
-	}
-	var best Plan
-	haveBest := false
-	for restart := 0; restart < cfg.Restarts; restart++ {
-		cur := randomFeasibleOffsets(n, limit, r)
-		curScore := eval(cur)
-		for step := 0; step < cfg.StepsPerRestart; step++ {
-			cand := mutate(cur, limit, r)
-			if cand == nil {
-				continue
-			}
-			if s := eval(cand); s > curScore {
-				cur, curScore = cand, s
-			}
-		}
-		if !haveBest || curScore > best.Score {
-			best = Plan{Offsets: cur, Score: curScore, RMS: RMSOffset(cur), Limit: limit}
-			haveBest = true
-		}
-	}
-	return best, nil
+	return climb(n, limit, cfg, r, func(offs []float64) (float64, error) {
+		return ExpectedDwellTime(offs, level, cfg.Trials, cfg.SamplesPerTrial, rng.New(candidateSeed(1, offs)), cfg.ForEach)
+	})
 }
 
 // ArithmeticOffsets returns the progression {0, k, 2k, …, (n−1)k}. Such
@@ -279,29 +279,31 @@ func WorstOf(n, k int, cfg OptimizerConfig, r *rng.Rand) (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	eval := func(offs []float64) float64 {
-		seed := uint64(2)
-		for _, f := range offs {
-			seed = seed*1000003 + uint64(f)
-		}
-		return ExpectedPeak(offs, cfg.Trials, cfg.SamplesPerTrial, rng.New(seed))
-	}
 	var worst Plan
 	haveWorst := false
-	consider := func(offs []float64) {
+	consider := func(offs []float64) error {
 		if RMSOffset(offs) > limit {
-			return
+			return nil
 		}
-		if score := eval(offs); !haveWorst || score < worst.Score {
+		score, err := ExpectedPeak(offs, cfg.Trials, cfg.SamplesPerTrial, rng.New(candidateSeed(2, offs)), cfg.ForEach)
+		if err != nil {
+			return err
+		}
+		if !haveWorst || score < worst.Score {
 			worst = Plan{Offsets: offs, Score: score, RMS: RMSOffset(offs), Limit: limit}
 			haveWorst = true
 		}
+		return nil
 	}
 	for i := 0; i < k; i++ {
-		consider(randomFeasibleOffsets(n, limit, r))
+		if err := consider(randomFeasibleOffsets(n, limit, r)); err != nil {
+			return Plan{}, err
+		}
 	}
 	for _, step := range []float64{1, 2, 5, 10, 20, 50} {
-		consider(ArithmeticOffsets(n, step))
+		if err := consider(ArithmeticOffsets(n, step)); err != nil {
+			return Plan{}, err
+		}
 	}
 	return worst, nil
 }

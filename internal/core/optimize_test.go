@@ -50,11 +50,7 @@ func TestOptimizeBeatsTypicalRandomSet(t *testing.T) {
 	const k = 6
 	for i := 0; i < k; i++ {
 		offs := randomFeasibleOffsets(5, limit, r)
-		seed := uint64(0)
-		for _, f := range offs {
-			seed = seed*1000003 + uint64(f)
-		}
-		avg += ExpectedPeak(offs, cfg.Trials, cfg.SamplesPerTrial, rng.New(seed))
+		avg += serial(ExpectedPeak(offs, cfg.Trials, cfg.SamplesPerTrial, rng.New(candidateSeed(0, offs)), nil))
 	}
 	avg /= k
 	if plan.Score < avg {
@@ -125,7 +121,7 @@ func TestTwoStageTradeoff(t *testing.T) {
 	}
 	level := rho * 5
 	evalDwell := func(offs []float64) float64 {
-		return ExpectedDwellTime(offs, level, 40, 4096, rng.New(99))
+		return serial(ExpectedDwellTime(offs, level, 40, 4096, rng.New(99), nil))
 	}
 	dPeak := evalDwell(peakPlan.Offsets)
 	dSteady := evalDwell(steadyPlan.Offsets)

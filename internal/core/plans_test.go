@@ -57,7 +57,7 @@ func TestBestKnownPlansBeatPaperPrefixes(t *testing.T) {
 		}
 		paper := PaperOffsets()[:n]
 		eval := func(offs []float64) float64 {
-			return ExpectedPeak(offs, 48, 4096, rng.New(12345))
+			return serial(ExpectedPeak(offs, 48, 4096, rng.New(12345), nil))
 		}
 		if sb, sp := eval(best), eval(paper); sb < sp {
 			t.Fatalf("n=%d: best-known %.4f below paper prefix %.4f", n, sb, sp)

@@ -43,8 +43,8 @@ func TestTwoStageLifecycle(t *testing.T) {
 
 	// The steady plan must dwell at least as long as discovery at its ρ.
 	level := ts.Rho() * 5
-	dSteady := ExpectedDwellTime(steady.Offsets, level, 30, 4096, rng.New(9))
-	dDisc := ExpectedDwellTime(disc.Offsets, level, 30, 4096, rng.New(9))
+	dSteady := serial(ExpectedDwellTime(steady.Offsets, level, 30, 4096, rng.New(9), nil))
+	dDisc := serial(ExpectedDwellTime(disc.Offsets, level, 30, 4096, rng.New(9), nil))
 	if dSteady < dDisc*0.9 {
 		t.Fatalf("steady dwell %v worse than discovery %v", dSteady, dDisc)
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -123,9 +124,40 @@ func (l Limits) maxParallel() int {
 // ctx between trials and stop claiming new indices once it is done, and
 // the call then returns ctx's error. Trials already in flight run to
 // completion — no partial trial state is ever published.
+// A panic in fn becomes that index's error, naming the index.
 func ForEachCtx(ctx context.Context, lim Limits, n int, fn func(i int) error) error {
 	workers := lim.maxParallel()
 	return forEachWorkerN(ctx, lim.Metrics, n, workers, func(_, i int) error { return fn(i) })
+}
+
+// trialPanic is the error a trial's panic becomes: one bad trial fails
+// its run, under the usual lowest-index-wins order, instead of killing
+// the process.
+type trialPanic struct {
+	label string // the Trials-level call's label; empty below it
+	index int
+	value any
+}
+
+func (p *trialPanic) Error() string {
+	if p.label == "" {
+		return fmt.Sprintf("engine: trial %d panicked: %v", p.index, p.value)
+	}
+	return fmt.Sprintf("engine: trial %d of %q panicked: %v", p.index, p.label, p.value)
+}
+
+// recoverTrial, deferred by a trial's caller, turns a panic in trial i
+// into *errp.
+func recoverTrial(errp *error, label string, i int) {
+	if v := recover(); v != nil {
+		*errp = &trialPanic{label: label, index: i, value: v}
+	}
+}
+
+// runTrial calls fn(worker, i) with its panic recovered into its error.
+func runTrial(fn func(worker, i int) error, worker, i int) (err error) {
+	defer recoverTrial(&err, "", i)
+	return fn(worker, i)
 }
 
 // forEachWorkerN is the one sanctioned goroutine launcher (see ivnlint's
@@ -178,7 +210,7 @@ func forEachWorkerN(ctx context.Context, m *SchedMetrics, n, workers int, fn fun
 				if m != nil {
 					m.addBusy(1)
 				}
-				errs[i] = fn(worker, i)
+				errs[i] = runTrial(fn, worker, i)
 				if m != nil {
 					m.addBusy(-1)
 					m.addTrials(1)

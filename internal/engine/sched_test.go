@@ -3,8 +3,12 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
+
+	"ivn/internal/rng"
 )
 
 func TestForEachRunsAll(t *testing.T) {
@@ -154,5 +158,39 @@ func TestSchedMetricsCountsTrials(t *testing.T) {
 	}
 	if got := m.Trials.Load(); got != 50 {
 		t.Fatalf("Trials = %d after second run, want 50", got)
+	}
+}
+
+func TestForEachPanicBecomesLowestIndexError(t *testing.T) {
+	// Panics at 3 and 7: the call returns the index-3 error at every cap,
+	// and the process survives.
+	for _, workers := range []int{1, 2, 4} {
+		for round := 0; round < 5; round++ {
+			err := ForEachCtx(context.Background(), Limits{MaxParallel: workers}, 20, func(i int) error {
+				if i == 3 || i == 7 {
+					panic(fmt.Sprintf("boom at %d", i))
+				}
+				return nil
+			})
+			var p *trialPanic
+			if !errors.As(err, &p) || p.index != 3 {
+				t.Fatalf("MaxParallel %d: got %v, want the index-3 panic", workers, err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, "trial 3") || !strings.Contains(msg, "boom at 3") {
+				t.Fatalf("MaxParallel %d: error %q does not name trial 3 and its panic", workers, msg)
+			}
+		}
+	}
+}
+
+func TestTrialsPanicNamesLabelAndTrial(t *testing.T) {
+	_, err := TrialsCtx(context.Background(), Limits{MaxParallel: 2}, 1, "probe", 10, func(trial int, _ *rng.Rand) (int, error) {
+		if trial == 6 {
+			panic("bad trial")
+		}
+		return trial, nil
+	})
+	if err == nil || err.Error() != `engine: trial 6 of "probe" panicked: bad trial` {
+		t.Fatalf("got %v", err)
 	}
 }

@@ -160,7 +160,9 @@ func ForEachScratchCtx(ctx context.Context, lim Limits, n int, s *Scratches, fn 
 // child, so the derivation allocates nothing — and measure additionally
 // receives the worker's persistent scratch object. Samples are identical
 // to TrialsCtx for any measure that ignores the scratch, at any
-// GOMAXPROCS, and the journal/shard semantics are TrialsCtx's.
+// GOMAXPROCS, and the journal/shard semantics are TrialsCtx's. A
+// panicking measure fails the call with an error naming label and the
+// trial index.
 func TrialsScratchCtx[S any](ctx context.Context, lim Limits, seed uint64, label string, n int, s *Scratches, measure func(trial int, scratch any, r *rng.Rand) (S, error)) ([]S, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("engine: %d trials", n)
@@ -179,11 +181,12 @@ func TrialsScratchCtx[S any](ctx context.Context, lim Limits, seed uint64, label
 		rec = &recorder[S]{call: call, samples: samples}
 	}
 	parent := rng.New(seed)
-	err = ForEachScratchCtx(ctx, lim, count, s, func(k int, scratch any, r *rng.Rand) error {
+	err = ForEachScratchCtx(ctx, lim, count, s, func(k int, scratch any, r *rng.Rand) (err error) {
 		i := k
 		if toRun != nil {
 			i = toRun[k]
 		}
+		defer recoverTrial(&err, label, i)
 		// SplitIndexedInto only reads the parent state — concurrent
 		// derivation from the shared parent is race-free.
 		parent.SplitIndexedInto(r, label, i)

@@ -187,6 +187,7 @@ func runAblationTwoStage(cfg Config) (*engine.Result, error) {
 		engine.Col("plan", ""), engine.Col("offsets", "Hz"), engine.Col("E[peak]/N", ""), engine.Col("E[dwell above 0.45N]", "ms"))
 	r := rng.New(cfg.Seed)
 	ocfg := core.DefaultOptimizerConfig()
+	ocfg.ForEach = cfg.monteCarlo()
 	if cfg.Quick {
 		ocfg.Trials, ocfg.SamplesPerTrial, ocfg.Restarts, ocfg.StepsPerRestart = 12, 1024, 2, 16
 	}
@@ -199,21 +200,23 @@ func runAblationTwoStage(cfg Config) (*engine.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	evalPeak := func(offs []float64) float64 {
-		return core.ExpectedPeak(offs, 60, 4096, rng.New(cfg.Seed+101))
-	}
-	evalDwell := func(offs []float64) float64 {
-		return core.ExpectedDwellTime(offs, rho*n, 60, 8192, rng.New(cfg.Seed+102))
-	}
 	for _, row := range []struct {
 		name string
 		plan core.Plan
 	}{{"discovery", discovery}, {"steady", steady}} {
+		peak, err := core.ExpectedPeak(row.plan.Offsets, 60, 4096, rng.New(cfg.Seed+101), ocfg.ForEach)
+		if err != nil {
+			return nil, err
+		}
+		dwell, err := core.ExpectedDwellTime(row.plan.Offsets, rho*n, 60, 8192, rng.New(cfg.Seed+102), ocfg.ForEach)
+		if err != nil {
+			return nil, err
+		}
 		res.AddRow(
 			engine.Str(row.name),
 			engine.List(row.plan.Offsets),
-			engine.Number("%.3f", evalPeak(row.plan.Offsets)/n),
-			engine.Number("%.2f", evalDwell(row.plan.Offsets)*1e3),
+			engine.Number("%.3f", peak/n),
+			engine.Number("%.2f", dwell*1e3),
 		)
 	}
 	res.AddNote("the steady plan holds the envelope above the (now known) threshold for longer contiguous bursts, trading peak height for charge time (§3.7)")

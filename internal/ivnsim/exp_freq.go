@@ -39,6 +39,7 @@ func runFig6(cfg Config) (*engine.Result, error) {
 
 	best := core.PaperOffsets()[:5]
 	ocfg := core.DefaultOptimizerConfig()
+	ocfg.ForEach = cfg.monteCarlo()
 	if cfg.Quick {
 		ocfg.Trials, ocfg.SamplesPerTrial = 16, 1024
 	}
@@ -47,8 +48,14 @@ func runFig6(cfg Config) (*engine.Result, error) {
 		return nil, err
 	}
 
-	bestCDFData := core.PeakCDF(best, trials, samples, r.Split("best-cdf"))
-	worstCDFData := core.PeakCDF(worstPlan.Offsets, trials, samples, r.Split("worst-cdf"))
+	bestCDFData, err := core.PeakCDF(best, trials, samples, r.Split("best-cdf"), ocfg.ForEach)
+	if err != nil {
+		return nil, err
+	}
+	worstCDFData, err := core.PeakCDF(worstPlan.Offsets, trials, samples, r.Split("worst-cdf"), ocfg.ForEach)
+	if err != nil {
+		return nil, err
+	}
 	bestCDF, err := stats.NewCDF(bestCDFData)
 	if err != nil {
 		return nil, err
@@ -78,6 +85,7 @@ func runFreqOpt(cfg Config) (*engine.Result, error) {
 		engine.Col("N", ""), engine.Col("optimized Δf", "Hz"), engine.Col("E[peak]/N", ""), engine.Col("RMS", "Hz"), engine.Col("limit", "Hz"))
 	r := rng.New(cfg.Seed)
 	ocfg := core.DefaultOptimizerConfig()
+	ocfg.ForEach = cfg.monteCarlo()
 	counts := []int{3, 5, 8, 10}
 	if cfg.Quick {
 		ocfg.Trials, ocfg.SamplesPerTrial, ocfg.Restarts, ocfg.StepsPerRestart = 12, 1024, 2, 16
@@ -101,7 +109,10 @@ func runFreqOpt(cfg Config) (*engine.Result, error) {
 	for _, f := range paper {
 		seed = seed*1000003 + uint64(f)
 	}
-	paperScore := core.ExpectedPeak(paper, ocfg.Trials, ocfg.SamplesPerTrial, rng.New(seed))
+	paperScore, err := core.ExpectedPeak(paper, ocfg.Trials, ocfg.SamplesPerTrial, rng.New(seed), ocfg.ForEach)
+	if err != nil {
+		return nil, err
+	}
 	res.AddNote("paper plan %v: E[peak]/N = %.3f, RMS = %.1f Hz (limit %.1f Hz for an 800 µs query)",
 		paper, paperScore/10, core.RMSOffset(paper), mustLimit())
 	return res, nil

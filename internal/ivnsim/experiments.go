@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 
+	"ivn/internal/core"
 	"ivn/internal/engine"
 	"ivn/internal/session"
 )
@@ -51,6 +52,16 @@ func (c Config) Context() context.Context {
 		return c.Ctx
 	}
 	return context.Background()
+}
+
+// monteCarlo binds core's Monte-Carlo fan-out seam to this run's worker
+// pool, under its context and parallelism cap. The run's Metrics stays
+// off, so engine.trials counts experiment trials, not phase draws.
+func (c Config) monteCarlo() core.ForEach {
+	ctx, lim := c.Context(), engine.Limits{MaxParallel: c.Limits.MaxParallel}
+	return func(n int, fn func(i int) error) error {
+		return engine.ForEachCtx(ctx, lim, n, fn)
+	}
 }
 
 // trials resolves the effective trial count.

@@ -26,12 +26,13 @@ func renderedTable(tab textTable) string {
 // every trial of a sweep; with four workers trials land on different kits
 // in scheduling-dependent order — so any leakage of worker state into
 // results shows up as a table diff. Fig9 covers the batched gain sweep,
-// fig13c the batched range search.
+// fig13c the batched range search, fig6 and ablation-twostage core's
+// Monte-Carlo scans fanned out over the pool.
 func TestTablesIdenticalAcrossWorkerCap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	ids := []string{"fig9", "fig13c"}
+	ids := []string{"fig9", "fig13c", "fig6", "ablation-twostage"}
 	cfg := Config{Seed: 42, Quick: true}
 	for _, id := range ids {
 		cfg.Limits = engine.Limits{MaxParallel: 1}

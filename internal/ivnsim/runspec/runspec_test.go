@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"ivn/internal/engine"
 	"ivn/internal/ivnsim"
@@ -214,5 +215,42 @@ func TestWriteOutputsReportsFailingPath(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(ok, "fig2."+ext)); err != nil {
 			t.Fatalf("missing %s artifact: %v", ext, err)
 		}
+	}
+}
+
+func TestCancelStopsOptimizerExperiments(t *testing.T) {
+	// fig6, freqopt and ablation-twostage spend their time in core's
+	// frequency-plan search; a cancelled run must end it, not finish it.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, id := range []string{"fig6", "freqopt", "ablation-twostage"} {
+		res, _, err := Run(ctx, engine.Limits{}, Spec{Experiment: id, Seed: 1}, nil)
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Fatalf("%s on a cancelled context: result %v, error %v; want no result and context.Canceled", id, res, err)
+		}
+	}
+	if testing.Short() {
+		return
+	}
+	// Cancelled shortly after it starts, a full-size ablation-twostage
+	// run returns well before an uncancelled one finishes.
+	spec := Spec{Experiment: "ablation-twostage", Seed: 1}
+	start := time.Now()
+	if _, _, err := Run(context.Background(), engine.Limits{}, spec, nil); err != nil {
+		t.Fatal(err)
+	}
+	full := time.Since(start)
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	stop := time.AfterFunc(20*time.Millisecond, cancel)
+	defer stop.Stop()
+	start = time.Now()
+	res, _, err := Run(ctx, engine.Limits{}, spec, nil)
+	cancelled := time.Since(start)
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("cancelled run: result %v, error %v; want no result and context.Canceled", res, err)
+	}
+	if cancelled > full/2 {
+		t.Fatalf("cancelled run took %v, the uncancelled one %v", cancelled, full)
 	}
 }

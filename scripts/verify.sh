@@ -77,7 +77,7 @@ pkgs="$(go list ./... | grep -v '/e2e$')" || { echo "-- FAIL: go list --" >&2; e
 stage "go test" go test ${pkgs}
 
 stage "go test -race (parallel trial paths)" \
-  go test -race . ./internal/engine/ ./internal/ivnsim/ ./internal/pool/ ./internal/phasor/ \
+  go test -race . ./internal/engine/ ./internal/core/ ./internal/ivnsim/ ./internal/pool/ ./internal/phasor/ \
   ./internal/dsp/ ./internal/fault/ ./internal/gen2/ ./internal/session/ ./internal/link/ \
   ./internal/service/
 
